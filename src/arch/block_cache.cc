@@ -10,7 +10,7 @@ BlockCache::BlockCache(u32 num_entries)
 }
 
 void BlockCache::clear() {
-  for (Block& b : entries_) b = Block{};
+  for (Block& b : entries_) b.pa = kInvalidPa;
 }
 
 }  // namespace sm::arch

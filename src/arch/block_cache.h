@@ -71,6 +71,8 @@ class BlockCache {
     return entries_[static_cast<u32>(pa ^ (pa >> kPageShift)) & mask_];
   }
 
+  // Drops every block by invalidating its key only: every probe compares
+  // `pa` first, so the stale instructions behind it can never be used.
   void clear();
 
   u32 capacity() const { return static_cast<u32>(entries_.size()); }

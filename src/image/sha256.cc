@@ -289,6 +289,16 @@ void Sha256::compress(const u8* p) {
   h_[7] += hh;
 }
 
+void Sha256::compress_blocks(const u8* p, std::size_t blocks) {
+#if defined(SM_SHA256_NI)
+  if (cpu_has_sha_ni()) {
+    compress_blocks_ni(h_, p, blocks);
+    return;
+  }
+#endif
+  for (; blocks > 0; --blocks, p += 64) compress(p);
+}
+
 void Sha256::update(std::span<const u8> data) {
   total_len_ += data.size();
   const u8* p = data.data();
@@ -302,23 +312,14 @@ void Sha256::update(std::span<const u8> data) {
     p += take;
     n -= take;
     if (block_len_ == 64) {
-      compress(block_);
+      compress_blocks(block_, 1);
       block_len_ = 0;
     }
   }
   if (const std::size_t blocks = n / 64; blocks > 0) {
-#if defined(SM_SHA256_NI)
-    if (cpu_has_sha_ni()) {
-      compress_blocks_ni(h_, p, blocks);
-      p += blocks * 64;
-      n -= blocks * 64;
-    }
-#endif
-    while (n >= 64) {
-      compress(p);
-      p += 64;
-      n -= 64;
-    }
+    compress_blocks(p, blocks);
+    p += blocks * 64;
+    n -= blocks * 64;
   }
   if (n != 0) {
     std::memcpy(block_ + block_len_, p, n);
@@ -327,16 +328,21 @@ void Sha256::update(std::span<const u8> data) {
 }
 
 Digest Sha256::final() {
+  // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit big-endian bit
+  // length — built in place in the staging block.
   const u64 bit_len = total_len_ * 8;
-  const u8 pad = 0x80;
-  update({&pad, 1});
-  const u8 zero = 0;
-  while (block_len_ != 56) update({&zero, 1});
-  u8 len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<u8>(bit_len >> (56 - 8 * i));
+  block_[block_len_++] = 0x80;
+  if (block_len_ > 56) {
+    std::memset(block_ + block_len_, 0, 64 - block_len_);
+    compress_blocks(block_, 1);
+    block_len_ = 0;
   }
-  update({len_bytes, 8});
+  std::memset(block_ + block_len_, 0, 56 - block_len_);
+  for (int i = 0; i < 8; ++i) {
+    block_[56 + i] = static_cast<u8>(bit_len >> (56 - 8 * i));
+  }
+  compress_blocks(block_, 1);
+  block_len_ = 0;
   Digest out;
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<u8>(h_[i] >> 24);

@@ -26,6 +26,9 @@ class Sha256 {
   Digest final();
 
  private:
+  // Compresses `blocks` consecutive 64-byte blocks: SHA-NI when the CPU
+  // has it, the scalar rounds otherwise. Every block goes through here.
+  void compress_blocks(const arch::u8* p, std::size_t blocks);
   void compress(const arch::u8* p);
 
   arch::u32 h_[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,

@@ -144,12 +144,10 @@ void AddressSpace::unmap_page(u32 vaddr) {
 void AddressSpace::initial_page_bytes(const Vma& vma, u32 page_vaddr,
                                       std::span<u8> out) const {
   std::ranges::fill(out, u8{0});
-  if (vma.backing == nullptr) return;
   const u32 page = page_floor(page_vaddr);
-  if (page < vma.start) return;
+  if (!vma.backed(page)) return;
   const u64 rel = static_cast<u64>(page - vma.start) + vma.backing_offset;
   const auto& src = *vma.backing;
-  if (rel >= src.size()) return;
   const std::size_t n =
       std::min<std::size_t>(out.size(), src.size() - static_cast<std::size_t>(rel));
   std::memcpy(out.data(), src.data() + rel, n);

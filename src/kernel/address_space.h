@@ -50,6 +50,13 @@ struct Vma {
   // bit cannot protect (paper Fig. 1b).
   bool mixed() const { return writable() && executable(); }
   bool contains(u32 addr) const { return addr >= start && addr < end; }
+  // True if the page at page_vaddr takes any bytes from `backing`;
+  // otherwise its initial contents are all zero.
+  bool backed(u32 page_vaddr) const {
+    return backing != nullptr && page_vaddr >= start &&
+           static_cast<arch::u64>(page_vaddr - start) + backing_offset <
+               backing->size();
+  }
 };
 
 // The two frames backing one memory-split virtual page: instruction fetches

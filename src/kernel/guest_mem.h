@@ -31,7 +31,9 @@ class GuestMem {
   explicit GuestMem(AddressSpace& as) : as_(&as) {}
 
   // Return false if any page in the range is unmapped (caller should
-  // demand-fault it in first; Kernel::ensure_mapped does that).
+  // demand-fault it in first; Kernel::ensure_mapped does that). Copies
+  // translate once per page and move bytes as per-page spans; write()
+  // checks the whole range before touching any byte.
   bool read(u32 va, std::span<u8> out, View view = View::kData) const;
   bool write(u32 va, std::span<const u8> in, View view = View::kData);
 

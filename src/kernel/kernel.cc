@@ -1191,7 +1191,14 @@ image::Digest Kernel::final_memory_digest(Process& p) {
   // read mapped pages through the DATA view (what loads/stores see — the
   // code frame of a split pair is an engine artifact), and synthesize
   // unmapped pages from their backing so demand-paging order and
-  // eager_load cannot change the result.
+  // eager_load cannot change the result. Each page contributes its va
+  // and the SHA-256 of its bytes; an unmapped page with no backing bytes
+  // is all zero by construction, so it costs only the precomputed
+  // zero-page hash.
+  static const image::Digest kZeroPageHash = [] {
+    const std::array<u8, kPageSize> zero{};
+    return image::sha256(zero);
+  }();
   std::vector<const Vma*> ordered;
   for (const Vma& v : p.as->vmas()) ordered.push_back(&v);
   std::ranges::sort(ordered, {}, [](const Vma* v) { return v->start; });
@@ -1202,16 +1209,19 @@ image::Digest Kernel::final_memory_digest(Process& p) {
   std::array<u8, kPageSize> page_buf;
   for (const Vma* vma : ordered) {
     for (u32 page = vma->start; page < vma->end; page += kPageSize) {
+      image::Digest page_hash = kZeroPageHash;
       if (pt.get(page).present()) {
         if (!gm.read(page, page_buf, View::kData)) page_buf.fill(0);
-      } else {
+        page_hash = image::sha256(page_buf);
+      } else if (vma->backed(page)) {
         p.as->initial_page_bytes(*vma, page, page_buf);
+        page_hash = image::sha256(page_buf);
       }
       const u8 va_bytes[4] = {static_cast<u8>(page), static_cast<u8>(page >> 8),
                               static_cast<u8>(page >> 16),
                               static_cast<u8>(page >> 24)};
       hasher.update(va_bytes);
-      hasher.update(page_buf);
+      hasher.update(page_hash);
     }
   }
   return hasher.final();

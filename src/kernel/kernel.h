@@ -241,6 +241,12 @@ class Kernel {
   // Allocates a frame filled with the VMA-backed initial contents of the
   // page covering page_va.
   u32 alloc_initial_frame(Process& p, const Vma& vma, u32 page_va);
+  // SHA-256 over (va, SHA-256(page bytes)) for every page of the data
+  // view, VMAs in address order; unmapped pages contribute their
+  // backing-defined initial bytes, so the digest is independent of
+  // demand-paging order and engine page-pairing (DESIGN.md §10). Taken at
+  // exit when capture_exit_digest is set.
+  image::Digest final_memory_digest(Process& p);
   // Terminates a process with a signal-style cause.
   void kill_process(Process& p, ExitKind kind, const std::string& reason);
   void log(const std::string& line);
@@ -349,10 +355,6 @@ class Kernel {
   // `retried` marks the re-run of a blocked syscall so the trace records
   // each syscall once, at first issue.
   void do_syscall(Process& p, bool retried = false);
-  // SHA-256 over the data view of the whole address space (sorted VMAs;
-  // unmapped pages contribute their backing-defined initial bytes, so the
-  // digest is independent of demand-paging order and engine page-pairing).
-  image::Digest final_memory_digest(Process& p);
   u32 sys_read(Process& p, u32 fd, u32 buf, u32 len, bool& blocked);
   u32 sys_write(Process& p, u32 fd, u32 buf, u32 len, bool& blocked);
   u32 sys_open(Process& p, u32 path_ptr, u32 flags);

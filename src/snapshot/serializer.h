@@ -49,7 +49,9 @@ inline constexpr char kMagic[8] = {'S', 'M', 'S', 'N', 'A', 'P', '\x1a', 0};
 // v2: SMP — per-core machine groups (MMU/TLBs, regs, runqueue, scheduler
 // slice state), active core, pending shootdowns, per-core watchdog version
 // vectors, a core byte on trace events, and the cores/ipi-cost config keys.
-inline constexpr u32 kFormatVersion = 2;
+// v3: a zombie's exit_digest is the per-page digest (SHA-256 over each
+// page's va and SHA-256 of its bytes), so v2 digests no longer compare.
+inline constexpr u32 kFormatVersion = 3;
 
 // Field kinds on the wire.
 enum class FieldKind : u8 {

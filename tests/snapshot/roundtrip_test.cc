@@ -188,6 +188,15 @@ TEST(SnapshotRoundtrip, BadMagicAndVersionRejected) {
     EXPECT_THROW(r.k->restore(is), snapshot::SnapshotError);
   }
   {
+    // An older stream (its zombies' exit digests have another definition)
+    // is refused too, never resumed.
+    std::string old = blob;
+    old[8] = static_cast<char>(snapshot::kFormatVersion - 1);
+    auto r = boot(cfg);
+    std::istringstream is(old);
+    EXPECT_THROW(r.k->restore(is), snapshot::SnapshotError);
+  }
+  {
     auto r = boot(cfg);
     std::istringstream is("");
     EXPECT_THROW(r.k->restore(is), snapshot::SnapshotError);
