@@ -210,7 +210,7 @@ void BM_FetchFastPath(benchmark::State& state) {
   arch::PageTable pt(pm, root);
   pt.set(0x1000, Pte::make(pm.alloc_frame(), Pte::kPresent | Pte::kUser));
   mmu.set_cr3(root);
-  mmu.fetch8(0x1000);  // warm the I-TLB and the memo
+  mmu.translate(0x1000, arch::Access::kFetch);  // warm the I-TLB and memo
   arch::u32 off = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -236,8 +236,8 @@ void BM_DataMemo(benchmark::State& state) {
   pt.set(0x1000, Pte::make(pm.alloc_frame(),
                            Pte::kPresent | Pte::kUser | Pte::kWritable));
   mmu.set_cr3(root);
-  mmu.read8(0x1000);      // warm the D-TLB and the read memo
-  mmu.write8(0x1000, 0);  // warm the write memo
+  mmu.translate(0x1000, arch::Access::kRead);   // warm D-TLB, read memo
+  mmu.translate(0x1000, arch::Access::kWrite);  // warm the write memo
   arch::u32 off = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(

@@ -43,7 +43,7 @@ bool writes_memory(Op op) {
   }
 }
 
-// Instructions whose execute() can throw (memory access -> page fault,
+// Instructions whose execute() can fault (memory access -> page fault,
 // divide -> #DE). Register-only instructions cannot fault once decoded
 // (operands were validated at decode time), so the block runner skips
 // their rollback snapshot.
@@ -66,22 +66,29 @@ bool may_fault(Op op) {
   }
 }
 
-}  // namespace
-
-void Cpu::check_reg(u8 r) const {
-  if (r >= kNumRegs) {
-    throw TrapException(Trap::simple(TrapKind::kGeneralProtection));
-  }
+// Every trap but kSyscall means the instruction did not complete: the
+// caller restores the pre-instruction registers and retires nothing.
+bool faulted(const std::optional<Trap>& trap) {
+  return trap && trap->kind != TrapKind::kSyscall;
 }
 
-Decoded Cpu::fetch_decode() {
+}  // namespace
+
+std::optional<Trap> Cpu::check_reg(u8 r) const {
+  if (r >= kNumRegs) return Trap::simple(TrapKind::kGeneralProtection);
+  return std::nullopt;
+}
+
+std::optional<Trap> Cpu::fetch_decode(Decoded& d) {
   // One real translation for the first byte: bills the I-TLB hit/miss (and
   // any walk or fault) exactly as the byte-at-a-time path's first fetch
   // would, and yields the physical key for the decode cache.
-  return fetch_decode_at(mmu_->translate(regs_.pc, Access::kFetch));
+  const u64 pa = mmu_->translate(regs_.pc, Access::kFetch);
+  if (pa == Mmu::kFault) return mmu_->last_fault();
+  return fetch_decode_at(pa, d);
 }
 
-Decoded Cpu::fetch_decode_at(u64 pa) {
+std::optional<Trap> Cpu::fetch_decode_at(u64 pa, Decoded& d) {
   const u32 pc = regs_.pc;
   PhysicalMemory& pm = mmu_->phys();
   const u64 gen = pm.generation(static_cast<u32>(pa >> kPageShift));
@@ -101,7 +108,8 @@ Decoded Cpu::fetch_decode_at(u64 pa) {
       mmu_->itlb().touch_last(extra);
       SM_TRACE(trace_,
                charge(trace::Category::kTlbHit, extra * cost_->tlb_hit, pc));
-      return slot->d;
+      d = slot->d;
+      return std::nullopt;
     }
     // Same physical location, stale frame generation: the code frame was
     // rewritten (self-modifying code, exec, forensic injection, frame
@@ -112,13 +120,13 @@ Decoded Cpu::fetch_decode_at(u64 pa) {
 
   const u8 opcode = pm.read8(pa);
   const u32 len = instr_length(opcode);
-  if (len == 0) {
-    throw TrapException(Trap::invalid_opcode(opcode));
-  }
+  if (len == 0) return Trap::invalid_opcode(opcode);
   u8 bytes[kMaxInstrLength] = {opcode};
-  for (u32 i = 1; i < len; ++i) bytes[i] = mmu_->fetch8(pc + i);
+  for (u32 i = 1; i < len; ++i) {
+    if (!mmu_->fetch8(pc + i, bytes[i])) return mmu_->last_fault();
+  }
 
-  Decoded d;
+  d = Decoded{};
   d.op = static_cast<Op>(opcode);
   d.len = len;
   auto imm_at = [&](u32 off) {
@@ -182,7 +190,7 @@ Decoded Cpu::fetch_decode_at(u64 pa) {
   if (d.len >= 2 && d.op != Op::kJmp && d.op != Op::kJz && d.op != Op::kJnz &&
       d.op != Op::kJlt && d.op != Op::kJge && d.op != Op::kJb &&
       d.op != Op::kJae && d.op != Op::kCall) {
-    check_reg(d.ra);
+    if (auto trap = check_reg(d.ra)) return trap;
   }
   switch (d.op) {
     case Op::kMov:
@@ -201,7 +209,7 @@ Decoded Cpu::fetch_decode_at(u64 pa) {
     case Op::kStore:
     case Op::kLoadb:
     case Op::kStoreb:
-      check_reg(d.rb);
+      if (auto trap = check_reg(d.rb)) return trap;
       break;
     default:
       break;
@@ -214,19 +222,20 @@ Decoded Cpu::fetch_decode_at(u64 pa) {
     slot->gen = gen;
     slot->d = d;
   }
-  return d;
+  return std::nullopt;
 }
 
-void Cpu::push(u32 v) {
+std::optional<Trap> Cpu::push(u32 v) {
   const u32 nsp = regs_.sp() - 4;
-  mmu_->write32(nsp, v);
+  if (!mmu_->write32(nsp, v)) return mmu_->last_fault();
   regs_.sp() = nsp;
+  return std::nullopt;
 }
 
-u32 Cpu::pop() {
-  const u32 v = mmu_->read32(regs_.sp());
+std::optional<Trap> Cpu::pop(u32& v) {
+  if (!mmu_->read32(regs_.sp(), v)) return mmu_->last_fault();
   regs_.sp() += 4;
-  return v;
+  return std::nullopt;
 }
 
 std::optional<Trap> Cpu::step() {
@@ -236,20 +245,20 @@ std::optional<Trap> Cpu::step() {
   // Deliberately not mirrored to the trace profiler: a per-step mirror
   // would put a trace branch on the hottest path in the simulator.
   // TraceSink::summary() reconciles these cycles as the exec residual.
-  try {
-    const Decoded d = fetch_decode();
-    auto trap = execute(d);
-    ++stats_->instructions;
-    if (trap) return trap;  // kSyscall: pc already advanced
-    if (tf_at_start) {
-      ++stats_->single_steps;
-      return Trap::simple(TrapKind::kDebugStep);
-    }
-    return std::nullopt;
-  } catch (const TrapException& e) {
+  Decoded d;
+  auto trap = fetch_decode(d);
+  if (!trap) trap = execute(d);
+  if (faulted(trap)) {
     regs_ = snapshot;  // faults restore architectural state for restart
-    return e.trap();
+    return trap;
   }
+  ++stats_->instructions;
+  if (trap) return trap;  // kSyscall: pc already advanced
+  if (tf_at_start) {
+    ++stats_->single_steps;
+    return Trap::simple(TrapKind::kDebugStep);
+  }
+  return std::nullopt;
 }
 
 Cpu::BlockStep Cpu::step_block(u64 max_attempts, u64 cycle_stop) {
@@ -269,15 +278,13 @@ Cpu::BlockStep Cpu::step_block(u64 max_attempts, u64 cycle_stop) {
     // exactly as step() -> fetch_decode() would bill them. The
     // translation also yields the physical key for the block-cache probe.
     stats_->cycles += cost_->cycles_per_instr;
-    u64 pa;
-    try {
-      pa = mmu_->translate(regs_.pc, Access::kFetch);
-    } catch (const TrapException& e) {
+    const u64 pa = mmu_->translate(regs_.pc, Access::kFetch);
+    if (pa == Mmu::kFault) {
       // translate() mutates no architectural state, so there is nothing
       // to roll back: report the fetch fault as one attempted
       // instruction.
       ++out.attempts;
-      out.trap = e.trap();
+      out.trap = mmu_->last_fault();
       return out;
     }
     const u64 gen =
@@ -338,56 +345,50 @@ Cpu::BlockStep Cpu::step_block(u64 max_attempts, u64 cycle_stop) {
     // the I-TLB, so one wholesale advance at exit is exact.
     mmu_->itlb().touch_last(hits);
   };
-  // The try sits OUTSIDE the loop so the hot path carries no per-iteration
-  // exception-handling boundary; a throw aborts the block at the faulting
-  // instruction, whose snapshot (taken just before its execute) is the one
-  // restored — identical to a per-instruction try.
-  try {
-    // i == 0 is exempt from the cycle bound: step_block already billed its
-    // issue cycle (the caller's bound check happened before that), so the
-    // per-instruction engine would have executed it too.
-    for (u32 i = 0; i < b.count && out.attempts < budget &&
-                    !(i > 0 && cycle_stop != 0 && stats_->cycles >= cycle_stop);
-         ++i) {
-      ++out.attempts;
-      const u32 pc = regs_.pc;
-      const Decoded& d = b.instr[i];
-      if (i == 0) {
-        hits += d.len - 1;
-        stats_->cycles += (d.len - 1) * cost_->tlb_hit;
-      } else {
-        hits += d.len;
-        stats_->cycles += cost_->cycles_per_instr + d.len * cost_->tlb_hit;
-      }
-      SM_TRACE(trace_, charge(trace::Category::kTlbHit,
-                              (d.len - 1) * cost_->tlb_hit, pc));
-      if (may_fault(d.op)) snapshot = regs_;  // only faultable ops roll back
-      auto trap = execute(d);
-      ++retired;
-      if (trap) {  // kSyscall: pc already advanced, kernel services it
-        out.trap = trap;
-        flush();
-        return out;
-      }
-      // Same-page SMC guard: a store that reached this block's own code
-      // frame makes the remaining decodes stale. Kill the block and exit;
-      // the next entry probe re-records from the current bytes — which is
-      // exactly where the per-instruction engine's decode-cache generation
-      // check would have picked up.
-      if (i + 1 < b.count && writes_memory(d.op) &&
-          pm.generation(b.pfn) != b.gen) {
-        ++stats_->block_cache_invalidations;
-        SM_TRACE(trace_,
-                 record(trace::EventKind::kBlockInvalidate, regs_.pc, b.pfn));
-        b.pa = BlockCache::kInvalidPa;
-        break;
-      }
+  // i == 0 is exempt from the cycle bound: step_block already billed its
+  // issue cycle (the caller's bound check happened before that), so the
+  // per-instruction engine would have executed it too.
+  for (u32 i = 0; i < b.count && out.attempts < budget &&
+                  !(i > 0 && cycle_stop != 0 && stats_->cycles >= cycle_stop);
+       ++i) {
+    ++out.attempts;
+    const u32 pc = regs_.pc;
+    const Decoded& d = b.instr[i];
+    if (i == 0) {
+      hits += d.len - 1;
+      stats_->cycles += (d.len - 1) * cost_->tlb_hit;
+    } else {
+      hits += d.len;
+      stats_->cycles += cost_->cycles_per_instr + d.len * cost_->tlb_hit;
     }
-  } catch (const TrapException& e) {
-    regs_ = snapshot;  // per-instruction restart semantics, unchanged
-    out.trap = e.trap();
-    flush();
-    return out;
+    SM_TRACE(trace_, charge(trace::Category::kTlbHit,
+                            (d.len - 1) * cost_->tlb_hit, pc));
+    if (may_fault(d.op)) snapshot = regs_;  // only faultable ops roll back
+    auto trap = execute(d);
+    if (trap) {
+      if (faulted(trap)) {
+        regs_ = snapshot;  // per-instruction restart semantics
+      } else {
+        ++retired;  // kSyscall: pc already advanced, kernel services it
+      }
+      out.trap = trap;
+      flush();
+      return out;
+    }
+    ++retired;
+    // Same-page SMC guard: a store that reached this block's own code
+    // frame makes the remaining decodes stale. Kill the block and exit;
+    // the next entry probe re-records from the current bytes — which is
+    // exactly where the per-instruction engine's decode-cache generation
+    // check would have picked up.
+    if (i + 1 < b.count && writes_memory(d.op) &&
+        pm.generation(b.pfn) != b.gen) {
+      ++stats_->block_cache_invalidations;
+      SM_TRACE(trace_,
+               record(trace::EventKind::kBlockInvalidate, regs_.pc, b.pfn));
+      b.pa = BlockCache::kInvalidPa;
+      break;
+    }
   }
   flush();
   return out;
@@ -416,23 +417,22 @@ Cpu::BlockStep Cpu::record_block(BlockCache::Block& b, u64 entry_pa,
     const u32 pc = regs_.pc;
     Decoded d;
     std::optional<Trap> trap;
-    try {
-      if (out.attempts == 1) {
-        // step_block already billed the issue cycle and translated pc.
-        d = fetch_decode_at(entry_pa);
-      } else {
-        stats_->cycles += cost_->cycles_per_instr;
-        d = fetch_decode();
-      }
-      trap = execute(d);
-      ++stats_->instructions;
-    } catch (const TrapException& e) {
+    if (out.attempts == 1) {
+      // step_block already billed the issue cycle and translated pc.
+      trap = fetch_decode_at(entry_pa, d);
+    } else {
+      stats_->cycles += cost_->cycles_per_instr;
+      trap = fetch_decode(d);
+    }
+    if (!trap) trap = execute(d);
+    if (faulted(trap)) {
       regs_ = snapshot;
-      out.trap = e.trap();
+      out.trap = trap;
       // A faulting tail is not recorded: the kernel fixes the cause and
       // the retry re-records from whatever pc resumes at.
       return out;
     }
+    ++stats_->instructions;
     // A straddling instruction's tail bytes live in a frame the entry
     // generation cannot cover — never record it; end the block before it.
     const bool straddles = page_offset(pc) + d.len > kPageSize;
@@ -487,16 +487,21 @@ std::optional<Trap> Cpu::execute(const Decoded& d) {
       r[d.ra] = r[d.rb];
       break;
     case Op::kLoad:
-      r[d.ra] = mmu_->read32(r[d.rb] + d.imm);
+      if (!mmu_->read32(r[d.rb] + d.imm, r[d.ra])) return mmu_->last_fault();
       break;
     case Op::kStore:
-      mmu_->write32(r[d.ra] + d.imm, r[d.rb]);
+      if (!mmu_->write32(r[d.ra] + d.imm, r[d.rb])) return mmu_->last_fault();
       break;
-    case Op::kLoadb:
-      r[d.ra] = mmu_->read8(r[d.rb] + d.imm);
+    case Op::kLoadb: {
+      u8 v = 0;
+      if (!mmu_->read8(r[d.rb] + d.imm, v)) return mmu_->last_fault();
+      r[d.ra] = v;
       break;
+    }
     case Op::kStoreb:
-      mmu_->write8(r[d.ra] + d.imm, static_cast<u8>(r[d.rb]));
+      if (!mmu_->write8(r[d.ra] + d.imm, static_cast<u8>(r[d.rb]))) {
+        return mmu_->last_fault();
+      }
       break;
     case Op::kAdd:
       r[d.ra] += r[d.rb];
@@ -508,15 +513,11 @@ std::optional<Trap> Cpu::execute(const Decoded& d) {
       r[d.ra] *= r[d.rb];
       break;
     case Op::kDiv:
-      if (r[d.rb] == 0) {
-        throw TrapException(Trap::simple(TrapKind::kDivideByZero));
-      }
+      if (r[d.rb] == 0) return Trap::simple(TrapKind::kDivideByZero);
       r[d.ra] /= r[d.rb];
       break;
     case Op::kModu:
-      if (r[d.rb] == 0) {
-        throw TrapException(Trap::simple(TrapKind::kDivideByZero));
-      }
+      if (r[d.rb] == 0) return Trap::simple(TrapKind::kDivideByZero);
       r[d.ra] %= r[d.rb];
       break;
     case Op::kAnd:
@@ -571,22 +572,24 @@ std::optional<Trap> Cpu::execute(const Decoded& d) {
       R.pc = r[d.ra];
       return std::nullopt;
     case Op::kCall:
-      push(next);
+      if (auto trap = push(next)) return trap;
       R.pc = d.imm;
       return std::nullopt;
     case Op::kCallr:
-      push(next);
-      R.pc = r[d.ra];
+      if (auto trap = push(next)) return trap;
+      R.pc = r[d.ra];  // read after the push: `callr sp` jumps to the new sp
       return std::nullopt;
     case Op::kRet:
-      R.pc = pop();
-      return std::nullopt;
+      return pop(R.pc);
     case Op::kPush:
-      push(r[d.ra]);
+      if (auto trap = push(r[d.ra])) return trap;
       break;
-    case Op::kPop:
-      r[d.ra] = pop();
+    case Op::kPop: {
+      u32 v = 0;
+      if (auto trap = pop(v)) return trap;
+      r[d.ra] = v;  // after pop's sp += 4: `pop sp` loads the popped word
       break;
+    }
     case Op::kSyscall:
       R.pc = next;
       return Trap::simple(TrapKind::kSyscall);

@@ -7,6 +7,12 @@
 // can fix the cause and simply resume — the restart semantics Algorithm 1
 // depends on ("return; /* restart the faulting instruction */").
 //
+// Inside the CPU every trap travels as a return value: the MMU reports a
+// page fault as Mmu::kFault, and fetch/decode, execute() and push/pop
+// return the Trap. kSyscall is the only trap that means the instruction
+// completed; any other means it faulted, and the engine restores the
+// pre-instruction Regs snapshot and retires nothing.
+//
 // Trap-flag semantics follow x86: if TF is set when an instruction begins
 // and the instruction completes (does not fault), a kDebugStep trap is
 // reported after it. A syscall that completes under TF reports kSyscall;
@@ -103,22 +109,26 @@ class Cpu {
   void set_trace(trace::TraceSink* sink) { trace_ = sink; }
 
  private:
-  // Fetches the instruction bytes at pc through the I-TLB path, consulting
-  // the decode cache first. Simulated costs are billed identically on hit
-  // and miss. Throws TrapException on fetch faults or #UD.
-  Decoded fetch_decode();
+  // Fetches and decodes the instruction at pc into `d` through the I-TLB
+  // path, consulting the decode cache first. Simulated costs are billed
+  // identically on hit and miss. Returns the fetch page fault, #UD or #GP.
+  std::optional<Trap> fetch_decode(Decoded& d);
   // The tail of fetch_decode() once the entry byte's translation is known:
   // decode-cache probe, byte-at-a-time decode, validation, memoization.
-  Decoded fetch_decode_at(u64 pa);
+  std::optional<Trap> fetch_decode_at(u64 pa, Decoded& d);
+  // Executes one decoded instruction. Returns kSyscall (completed, pc
+  // advanced) or a fault, after which the registers may be partially
+  // updated and the caller must restore its snapshot.
   std::optional<Trap> execute(const Decoded& d);
 
   BlockStep run_block(BlockCache::Block& b, u64 budget, u64 cycle_stop);
   BlockStep record_block(BlockCache::Block& b, u64 entry_pa, u64 entry_gen,
                          u64 budget, u64 cycle_stop);
 
-  u32 pop();
-  void push(u32 v);
-  void check_reg(u8 r) const;
+  // Stack accesses: on a fault sp is unchanged and the page fault returned.
+  std::optional<Trap> pop(u32& v);
+  std::optional<Trap> push(u32 v);
+  std::optional<Trap> check_reg(u8 r) const;  // #GP for a bad register
 
   Mmu* mmu_;
   metrics::Stats* stats_;

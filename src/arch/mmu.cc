@@ -42,7 +42,7 @@ void Mmu::invlpg(u32 vaddr) {
   SM_TRACE(trace_, record(trace::EventKind::kTlbInvlpg, vaddr));
 }
 
-void Mmu::fault(u32 vaddr, Access acc, bool present, bool soft_miss) {
+u64 Mmu::fault(u32 vaddr, Access acc, bool present, bool soft_miss) {
   PageFaultInfo info;
   info.addr = vaddr;
   info.present = present;
@@ -50,7 +50,8 @@ void Mmu::fault(u32 vaddr, Access acc, bool present, bool soft_miss) {
   info.user = true;
   info.fetch = acc == Access::kFetch;
   info.soft_miss = soft_miss;
-  throw TrapException(Trap::page_fault(info));
+  last_fault_ = Trap::page_fault(info);
+  return kFault;
 }
 
 u64 Mmu::translate(u32 vaddr, Access acc) {
@@ -68,8 +69,8 @@ u64 Mmu::translate(u32 vaddr, Access acc) {
     ++stats_->fetch_fastpath_hits;
     stats_->cycles += cost_->tlb_hit;
     itlb_.touch(fetch_memo_.entry_index);
-    if (!fetch_memo_.user) fault(vaddr, acc, /*present=*/true);
-    if (fetch_memo_.no_exec) fault(vaddr, acc, /*present=*/true);
+    if (!fetch_memo_.user) return fault(vaddr, acc, /*present=*/true);
+    if (fetch_memo_.no_exec) return fault(vaddr, acc, /*present=*/true);
     return finish(vaddr, fetch_memo_.pfn);
   }
 
@@ -84,8 +85,10 @@ u64 Mmu::translate(u32 vaddr, Access acc) {
       ++stats_->data_fastpath_hits;
       stats_->cycles += cost_->tlb_hit;
       if (!inject_memo_lru_bug_) dtlb_.touch(m.entry_index);
-      if (!m.user) fault(vaddr, acc, /*present=*/true);
-      if (acc == Access::kWrite && !m.writable) fault(vaddr, acc, true);
+      if (!m.user) return fault(vaddr, acc, /*present=*/true);
+      if (acc == Access::kWrite && !m.writable) {
+        return fault(vaddr, acc, true);
+      }
       return finish(vaddr, m.pfn);
     }
   }
@@ -99,9 +102,9 @@ u64 Mmu::translate(u32 vaddr, Access acc) {
       ++stats_->dtlb_hits;
     }
     stats_->cycles += cost_->tlb_hit;
-    if (!e->user) fault(vaddr, acc, /*present=*/true);
-    if (acc == Access::kWrite && !e->writable) fault(vaddr, acc, true);
-    if (is_fetch && e->no_exec) fault(vaddr, acc, true);
+    if (!e->user) return fault(vaddr, acc, /*present=*/true);
+    if (acc == Access::kWrite && !e->writable) return fault(vaddr, acc, true);
+    if (is_fetch && e->no_exec) return fault(vaddr, acc, true);
     if (is_fetch) {
       // Memoize for the next fetch (only after every check passed).
       fetch_memo_.vpn = vpn;
@@ -134,16 +137,18 @@ u64 Mmu::translate(u32 vaddr, Access acc) {
   }
   if (software_tlb_) {
     // SPARC-style: no hardware walker — trap to the OS TLB-fill handler.
-    fault(vaddr, acc, /*present=*/false, /*soft_miss=*/true);
+    return fault(vaddr, acc, /*present=*/false, /*soft_miss=*/true);
   }
   stats_->cycles += cost_->tlb_walk;
   SM_TRACE(trace_, charge(trace::Category::kTlbWalk, cost_->tlb_walk, vaddr));
   PageTable pt(*pm_, cr3_);
   const auto pte = pt.walk(vaddr, stats_);
-  if (!pte) fault(vaddr, acc, /*present=*/false);
-  if (!pte->user()) fault(vaddr, acc, /*present=*/true);
-  if (acc == Access::kWrite && !pte->writable()) fault(vaddr, acc, true);
-  if (is_fetch && pte->no_exec()) fault(vaddr, acc, true);
+  if (!pte) return fault(vaddr, acc, /*present=*/false);
+  if (!pte->user()) return fault(vaddr, acc, /*present=*/true);
+  if (acc == Access::kWrite && !pte->writable()) {
+    return fault(vaddr, acc, true);
+  }
+  if (is_fetch && pte->no_exec()) return fault(vaddr, acc, true);
 
   // Fill the requesting TLB only; set accessed/dirty like hardware.
   Pte updated = *pte;
@@ -169,38 +174,49 @@ u64 Mmu::translate(u32 vaddr, Access acc) {
   return finish(vaddr, pte->pfn());
 }
 
-u32 Mmu::read32(u32 va) {
+bool Mmu::read32(u32 va, u32& out) {
   // Contained in one page (the common case): a single translation covers
   // all four bytes.
   if (page_offset(va) <= kPageSize - 4) {
-    return pm_->read32(translate(va, Access::kRead));
+    const u64 pa = translate(va, Access::kRead);
+    if (pa == kFault) return false;
+    out = pm_->read32(pa);
+    return true;
   }
   // Page-straddling access: one translation per page — as the hardware
   // would do — rather than one per byte.
   const u32 first_len = kPageSize - page_offset(va);
   const u64 pa0 = translate(va, Access::kRead);
+  if (pa0 == kFault) return false;
   const u64 pa1 = translate(va + first_len, Access::kRead);
+  if (pa1 == kFault) return false;
   u32 v = 0;
   for (u32 i = 0; i < 4; ++i) {
     const u64 pa = i < first_len ? pa0 + i : pa1 + (i - first_len);
     v |= static_cast<u32>(pm_->read8(pa)) << (8 * i);
   }
-  return v;
+  out = v;
+  return true;
 }
 
-void Mmu::write32(u32 va, u32 v) {
+bool Mmu::write32(u32 va, u32 v) {
   if (page_offset(va) <= kPageSize - 4) {
-    pm_->write32(translate(va, Access::kWrite), v);
-    return;
+    const u64 pa = translate(va, Access::kWrite);
+    if (pa == kFault) return false;
+    pm_->write32(pa, v);
+    return true;
   }
   // Pre-translate both pages so a fault leaves memory untouched.
   const u32 first_len = kPageSize - page_offset(va);
   const u64 pa0 = translate(va, Access::kWrite);
+  if (pa0 == kFault) return false;
   const u64 pa1 = translate(va + first_len, Access::kWrite);
+  if (pa1 == kFault) return false;
   for (u32 i = 0; i < 4; ++i) {
     const u64 pa = i < first_len ? pa0 + i : pa1 + (i - first_len);
     pm_->write8(pa, static_cast<u8>(v >> (8 * i)));
   }
+  return true;
 }
 
 bool Mmu::fill_dtlb_via_walk(u32 vaddr) {

@@ -3,8 +3,10 @@
 //
 // User-mode translations are permission checked against the *cached* TLB
 // attributes on a hit and against the PTE on a miss, exactly as x86 does.
-// A permission failure or a missing mapping raises a page fault
-// (TrapException) carrying the CR2 address and the error-code bits.
+// A permission failure or a missing mapping is a page fault: translate()
+// returns kFault and last_fault() holds the Trap, carrying the CR2 address
+// and the error-code bits. Faults are values, never host exceptions — a
+// split-memory context switch takes two of them per round trip.
 //
 // Kernel code accesses guest memory through the page-table view directly
 // (see kernel/guest_mem.h) and never perturbs the TLBs — except through
@@ -60,16 +62,40 @@ class Mmu {
   u32 cr3() const { return cr3_; }
   PageTable pagetable() { return PageTable(*pm_, cr3_); }
 
-  // Translates a user-mode access, billing TLB/walk costs, or throws
-  // TrapException(page fault).
+  // translate()'s result when the access faults (no physical address is
+  // ever this large).
+  static constexpr u64 kFault = ~u64{0};
+
+  // Translates a user-mode access, billing TLB/walk costs. Returns the
+  // physical address, or kFault with the page fault in last_fault().
   u64 translate(u32 vaddr, Access acc);
+  // The page fault of the most recent translate() that returned kFault.
+  const Trap& last_fault() const { return last_fault_; }
 
   // --- user-mode accessors used by the CPU ------------------------------
-  u8 read8(u32 va) { return pm_->read8(translate(va, Access::kRead)); }
-  u32 read32(u32 va);
-  void write8(u32 va, u8 v) { pm_->write8(translate(va, Access::kWrite), v); }
-  void write32(u32 va, u32 v);
-  u8 fetch8(u32 va) { return pm_->read8(translate(va, Access::kFetch)); }
+  // Each returns false on a page fault (see last_fault()) and then has
+  // neither read into `out` nor written guest memory.
+  [[nodiscard]] bool read8(u32 va, u8& out) {
+    const u64 pa = translate(va, Access::kRead);
+    if (pa == kFault) return false;
+    out = pm_->read8(pa);
+    return true;
+  }
+  [[nodiscard]] bool read32(u32 va, u32& out);
+  [[nodiscard]] bool write8(u32 va, u8 v) {
+    const u64 pa = translate(va, Access::kWrite);
+    if (pa == kFault) return false;
+    pm_->write8(pa, v);
+    return true;
+  }
+  // A page-straddling write translates both pages before writing any byte.
+  [[nodiscard]] bool write32(u32 va, u32 v);
+  [[nodiscard]] bool fetch8(u32 va, u8& out) {
+    const u64 pa = translate(va, Access::kFetch);
+    if (pa == kFault) return false;
+    out = pm_->read8(pa);
+    return true;
+  }
 
   // --- kernel-side TLB management ---------------------------------------
   // The split-memory D-TLB load: performs a hardware walk of the CURRENT
@@ -135,8 +161,8 @@ class Mmu {
  private:
   friend struct sm::snapshot::Access;
 
-  [[noreturn]] void fault(u32 vaddr, Access acc, bool present,
-                          bool soft_miss = false);
+  // Records the page fault in last_fault_ and returns kFault.
+  u64 fault(u32 vaddr, Access acc, bool present, bool soft_miss = false);
   u64 finish(u32 vaddr, u32 pfn) const {
     return static_cast<u64>(pfn) * kPageSize + page_offset(vaddr);
   }
@@ -179,6 +205,7 @@ class Mmu {
   FetchMemo fetch_memo_;
   DataMemo read_memo_;
   DataMemo write_memo_;
+  Trap last_fault_;
   bool data_memo_enabled_ = true;
   bool inject_memo_lru_bug_ = false;
   u32 cr3_ = 0;

@@ -1,7 +1,11 @@
 // Trap (exception/interrupt) types raised by the simulated CPU.
+//
+// A Trap is a plain value: Mmu::translate records a page fault and returns
+// Mmu::kFault, and the CPU passes every trap up as a return value to
+// Cpu::step()/step_block(), whose caller (the kernel) services it. No host
+// C++ exception is thrown on the simulation path.
 #pragma once
 
-#include <stdexcept>
 #include <string>
 
 #include "arch/types.h"
@@ -44,16 +48,6 @@ struct Trap {
     return Trap{TrapKind::kInvalidOpcode, {}, op};
   }
   static Trap simple(TrapKind k) { return Trap{k, {}, 0}; }
-};
-
-// Internal control-flow vehicle inside Cpu::step(); never escapes the CPU.
-class TrapException {
- public:
-  explicit TrapException(Trap t) : trap_(t) {}
-  const Trap& trap() const { return trap_; }
-
- private:
-  Trap trap_;
 };
 
 std::string to_string(TrapKind kind);

@@ -51,7 +51,9 @@ inline constexpr char kMagic[8] = {'S', 'M', 'S', 'N', 'A', 'P', '\x1a', 0};
 // vectors, a core byte on trace events, and the cores/ipi-cost config keys.
 // v3: a zombie's exit_digest is the per-page digest (SHA-256 over each
 // page's va and SHA-256 of its bytes), so v2 digests no longer compare.
-inline constexpr u32 kFormatVersion = 3;
+// v4: the stats record carries the SMP counters (ipi_sends, ipi_acks,
+// tlb_shootdowns, work_steals); v3 restores reset them to zero.
+inline constexpr u32 kFormatVersion = 4;
 
 // Field kinds on the wire.
 enum class FieldKind : u8 {

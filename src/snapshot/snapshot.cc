@@ -419,6 +419,10 @@ void Access::stats(Ar& ar, metrics::Stats& s) {
   ar.value("sock_refused", s.sock_refused);
   ar.value("sock_accepts", s.sock_accepts);
   ar.value("sock_backlog_peak", s.sock_backlog_peak);
+  ar.value("ipi_sends", s.ipi_sends);
+  ar.value("ipi_acks", s.ipi_acks);
+  ar.value("tlb_shootdowns", s.tlb_shootdowns);
+  ar.value("work_steals", s.work_steals);
   ar.end();
 }
 

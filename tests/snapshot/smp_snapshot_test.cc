@@ -105,6 +105,36 @@ TEST(SmpSnapshot, ReplayEquivalenceAcrossQuantumBoundaries) {
   }
 }
 
+// Regression: the SMP counters are machine state. A run restored from a
+// mid-run snapshot must end with the straight run's IPI, shootdown and
+// steal counts, not with the ones it accumulated after the restore.
+TEST(SmpSnapshot, RestoredRunKeepsSmpCounters) {
+  const kernel::KernelConfig cfg = smp_cfg(4);
+  constexpr u64 kBudget = 500'000;
+  constexpr u64 kAt = 5'000;
+  auto straight = start_guest(kForkWorkers, ProtectionMode::kSplitAll,
+                              ResponseMode::kBreak, cfg);
+  straight.k->run(kBudget);
+  auto saver = start_guest(kForkWorkers, ProtectionMode::kSplitAll,
+                           ResponseMode::kBreak, cfg);
+  saver.k->run(kAt);
+  auto resumed = start_guest(kForkWorkers, ProtectionMode::kSplitAll,
+                             ResponseMode::kBreak, cfg);
+  restore_bytes(*resumed.k, save_bytes(*saver.k));
+  resumed.k->run(kBudget - kAt);
+
+  const metrics::Stats& want = straight.k->stats();
+  const metrics::Stats& got = resumed.k->stats();
+  EXPECT_EQ(got.cycles, want.cycles);
+  EXPECT_GT(want.ipi_sends, 0u);
+  EXPECT_GT(want.tlb_shootdowns, 0u);
+  EXPECT_GT(want.work_steals, 0u);
+  EXPECT_EQ(got.ipi_sends, want.ipi_sends);
+  EXPECT_EQ(got.ipi_acks, want.ipi_acks);
+  EXPECT_EQ(got.tlb_shootdowns, want.tlb_shootdowns);
+  EXPECT_EQ(got.work_steals, want.work_steals);
+}
+
 TEST(SmpSnapshot, CoreCountMismatchRejected) {
   auto two = start_guest(kForkWorkers, ProtectionMode::kSplitAll,
                          ResponseMode::kBreak, smp_cfg(2));

@@ -6,7 +6,10 @@ Two modes, two tracked files at the repo root:
   tools/bench_json.py
       Runs the google-benchmark microbench suite and writes
       BENCH_microbench.json (google-benchmark's own --benchmark_out schema,
-      unchanged, so benchmark-diff tooling keeps working).
+      unchanged, so benchmark-diff tooling keeps working). Each benchmark
+      runs REPETITIONS times and only google-benchmark's aggregate rows
+      (mean, median, stddev, cv) are written: a speed claim needs the
+      spread beside the number, and one run of a hot loop can swing by 18%.
 
   tools/bench_json.py --figures [--jobs N] [--quick]
       Runs every figure/table/ablation binary through the parallel
@@ -61,6 +64,9 @@ FIGURE_BENCHES = [
 # runs are, but --quick subsets need not be).
 VERDICT_EXITS = {"table1_wilander", "table2_realworld", "ablation_nx_vs_split"}
 
+# Runs per microbench case; the record holds only their aggregates.
+REPETITIONS = 10
+
 
 def run_micro(args) -> int:
     exe = os.path.join(REPO_ROOT, args.build_dir, "bench", "microbench")
@@ -75,7 +81,9 @@ def run_micro(args) -> int:
     cmd = [exe,
            f"--benchmark_out={tmp_path}",
            "--benchmark_out_format=json",
-           f"--benchmark_min_time={args.min_time}"]
+           f"--benchmark_min_time={args.min_time}",
+           f"--benchmark_repetitions={REPETITIONS}",
+           "--benchmark_report_aggregates_only=true"]
     if args.filter:
         cmd.append(f"--benchmark_filter={args.filter}")
 

@@ -16,7 +16,10 @@ Exit 1: a metric drifted, a bench disappeared, or nothing overlapped.
 With --microbench, additionally (or instead) checks that the committed
 BENCH_microbench.json carries every expected benchmark label — the
 perf-trajectory record must not silently lose a benchmark when the suite
-is regenerated on a machine with an older binary.
+is regenerated on a machine with an older binary. The record holds only
+aggregate rows of repeated runs (tools/bench_json.py), so a per-run row
+fails the check, and a label counts when its "median" row is present
+(matched on "run_name": "BM_X_median" has run_name "BM_X").
 
 With --server, checks the committed BENCH_server.json (the server-load
 throughput + tail-latency record, schema: a "quick", a "full" and an
@@ -95,7 +98,14 @@ def load(path):
 
 def check_microbench(path) -> int:
     doc = load(path)
-    names = {b["name"].split("/")[0] for b in doc.get("benchmarks", [])}
+    rows = doc.get("benchmarks", [])
+    single = [b["name"] for b in rows if b.get("run_type") != "aggregate"]
+    if single:
+        print(f"MICROBENCH per-run rows in {path} (regenerate with "
+              f"tools/bench_json.py): {single[:5]}", file=sys.stderr)
+        return 1
+    names = {b["run_name"].split("/")[0] for b in rows
+             if b["aggregate_name"] == "median"}
     missing = [l for l in MICROBENCH_LABELS if l not in names]
     if missing:
         print(f"MICROBENCH LABELS MISSING from {path}: {missing}",
