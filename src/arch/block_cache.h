@@ -26,7 +26,9 @@
 // billed them (see Cpu::run_block for the accounting argument), so all
 // figures are bit-identical with the block engine on or off. Only the
 // block_cache_* counters in metrics::Stats — host-side by contract, like
-// decode_cache_* — observe the difference.
+// decode_cache_* — observe the difference. KernelConfig::dbt and the SM_DBT
+// environment variable ("0" = off) switch the kernel's block dispatch at
+// runtime, which gives the same-binary identity diffs.
 #pragma once
 
 #include <cstddef>
@@ -35,16 +37,6 @@
 
 #include "arch/decode_cache.h"
 #include "arch/types.h"
-
-// Two-layer gating, same pattern as SM_TRACE/SM_INVARIANT: -DSM_DBT=OFF
-// defines SM_DBT_ENABLED=0 and the kernel run loop's block dispatch
-// compiles out (this cache and Cpu::step_block always compile — tests and
-// benches drive them directly); at runtime KernelConfig::dbt and the
-// SM_DBT environment variable ("0" = off) gate the same-binary identity
-// diffs.
-#ifndef SM_DBT_ENABLED
-#define SM_DBT_ENABLED 1
-#endif
 
 namespace sm::arch {
 

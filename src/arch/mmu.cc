@@ -163,7 +163,7 @@ u64 Mmu::translate(u32 vaddr, Access acc) {
   entry.writable = pte->writable();
   entry.no_exec = pte->no_exec();
   const auto evicted = tlb.insert(entry);
-  [[maybe_unused]] const u8 side =
+  const u8 side =
       is_fetch ? trace::kSideItlb : trace::kSideDtlb;
   if (evicted) {
     SM_TRACE(trace_, record(trace::EventKind::kTlbEvict, evicted->vpn << 12,
@@ -284,7 +284,7 @@ void Mmu::insert_tlb_entry(bool instruction, u32 vpn, u32 pfn, bool user,
   entry.writable = writable;
   entry.no_exec = no_exec;
   const auto evicted = (instruction ? itlb_ : dtlb_).insert(entry);
-  [[maybe_unused]] const u8 side =
+  const u8 side =
       instruction ? trace::kSideItlb : trace::kSideDtlb;
   if (evicted) {
     SM_TRACE(trace_, record(trace::EventKind::kTlbEvict, evicted->vpn << 12,

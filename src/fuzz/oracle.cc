@@ -39,51 +39,6 @@ const char* exit_kind_name(kernel::ExitKind k) {
   return "?";
 }
 
-// Every simulated counter, by name, plus whether it is one of the
-// host-side fast-path counters the billing clause exempts. Cycles are
-// listed first so a billing divergence reports the clock before the
-// downstream counters it desynchronized.
-struct CounterRef {
-  const char* name;
-  std::uint64_t metrics::Stats::*field;
-  bool host_side;
-};
-
-constexpr CounterRef kCounters[] = {
-    {"cycles", &metrics::Stats::cycles, false},
-    {"instructions", &metrics::Stats::instructions, false},
-    {"itlb_hits", &metrics::Stats::itlb_hits, false},
-    {"itlb_misses", &metrics::Stats::itlb_misses, false},
-    {"dtlb_hits", &metrics::Stats::dtlb_hits, false},
-    {"dtlb_misses", &metrics::Stats::dtlb_misses, false},
-    {"tlb_flushes", &metrics::Stats::tlb_flushes, false},
-    {"hardware_walks", &metrics::Stats::hardware_walks, false},
-    {"fetch_fastpath_hits", &metrics::Stats::fetch_fastpath_hits, true},
-    {"data_fastpath_hits", &metrics::Stats::data_fastpath_hits, true},
-    {"decode_cache_hits", &metrics::Stats::decode_cache_hits, true},
-    {"decode_cache_misses", &metrics::Stats::decode_cache_misses, true},
-    {"decode_cache_invalidations", &metrics::Stats::decode_cache_invalidations,
-     true},
-    {"block_cache_hits", &metrics::Stats::block_cache_hits, true},
-    {"block_cache_misses", &metrics::Stats::block_cache_misses, true},
-    {"block_cache_invalidations", &metrics::Stats::block_cache_invalidations,
-     true},
-    {"block_instructions", &metrics::Stats::block_instructions, true},
-    {"page_faults", &metrics::Stats::page_faults, false},
-    {"split_dtlb_loads", &metrics::Stats::split_dtlb_loads, false},
-    {"split_itlb_loads", &metrics::Stats::split_itlb_loads, false},
-    {"split_dtlb_fallbacks", &metrics::Stats::split_dtlb_fallbacks, false},
-    {"soft_tlb_fills", &metrics::Stats::soft_tlb_fills, false},
-    {"single_steps", &metrics::Stats::single_steps, false},
-    {"demand_pages", &metrics::Stats::demand_pages, false},
-    {"cow_copies", &metrics::Stats::cow_copies, false},
-    {"syscalls", &metrics::Stats::syscalls, false},
-    {"invalid_opcode_faults", &metrics::Stats::invalid_opcode_faults, false},
-    {"context_switches", &metrics::Stats::context_switches, false},
-    {"sched_wake_checks", &metrics::Stats::sched_wake_checks, true},
-    {"injections_detected", &metrics::Stats::injections_detected, false},
-};
-
 }  // namespace
 
 // Compares one non-reference run against the reference on the behavioural
@@ -139,11 +94,13 @@ std::string diff_behavior(const RunObservation& ref, const std::string& ref_l,
   return "";
 }
 
-// Compares full simulated stats (billing clause). Host-side fast-path
-// counters are exempt — they are the knob being toggled.
+// Compares full simulated stats (billing clause): every metrics::kCounters
+// row except the host-side ones, which are the knob being toggled. Cycles
+// come first in the table, so a divergence reports the clock before the
+// downstream counters it desynchronized.
 std::string diff_billing(const RunObservation& ref, const std::string& ref_l,
                          const RunObservation& got, const std::string& got_l) {
-  for (const CounterRef& c : kCounters) {
+  for (const metrics::Counter& c : metrics::kCounters) {
     if (c.host_side) continue;
     const std::uint64_t a = ref.stats.*c.field;
     const std::uint64_t b = got.stats.*c.field;

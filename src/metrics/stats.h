@@ -2,11 +2,13 @@
 //
 // Every architectural and kernel event of interest is counted here so tests
 // can pin behaviour ("exactly two traps per split I-TLB load") and benches
-// can report where time went.
+// can report where time went. kCounters below names every counter once;
+// code that serializes, compares or prints a whole Stats iterates it.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <iterator>
 
 namespace sm::metrics {
 
@@ -91,6 +93,72 @@ struct Stats {
 
   void reset() { *this = Stats{}; }
 };
+
+// One row per Stats counter, in declaration order (the snapshot record's
+// field order). `host_side` marks counters that bill no simulated cycles
+// and describe only the simulator's own fast paths and wake-queue work:
+// toggling a host-side layer (memos, decode/block caches) may move them,
+// so identity checks exempt them and compare every other row.
+struct Counter {
+  const char* name;
+  std::uint64_t Stats::*field;
+  bool host_side;
+};
+
+inline constexpr Counter kCounters[] = {
+    {"cycles", &Stats::cycles, false},
+    {"instructions", &Stats::instructions, false},
+    {"itlb_hits", &Stats::itlb_hits, false},
+    {"itlb_misses", &Stats::itlb_misses, false},
+    {"dtlb_hits", &Stats::dtlb_hits, false},
+    {"dtlb_misses", &Stats::dtlb_misses, false},
+    {"tlb_flushes", &Stats::tlb_flushes, false},
+    {"hardware_walks", &Stats::hardware_walks, false},
+    {"fetch_fastpath_hits", &Stats::fetch_fastpath_hits, true},
+    {"data_fastpath_hits", &Stats::data_fastpath_hits, true},
+    {"decode_cache_hits", &Stats::decode_cache_hits, true},
+    {"decode_cache_misses", &Stats::decode_cache_misses, true},
+    {"decode_cache_invalidations", &Stats::decode_cache_invalidations, true},
+    {"block_cache_hits", &Stats::block_cache_hits, true},
+    {"block_cache_misses", &Stats::block_cache_misses, true},
+    {"block_cache_invalidations", &Stats::block_cache_invalidations, true},
+    {"block_instructions", &Stats::block_instructions, true},
+    {"page_faults", &Stats::page_faults, false},
+    {"split_dtlb_loads", &Stats::split_dtlb_loads, false},
+    {"split_itlb_loads", &Stats::split_itlb_loads, false},
+    {"split_dtlb_fallbacks", &Stats::split_dtlb_fallbacks, false},
+    {"soft_tlb_fills", &Stats::soft_tlb_fills, false},
+    {"single_steps", &Stats::single_steps, false},
+    {"demand_pages", &Stats::demand_pages, false},
+    {"cow_copies", &Stats::cow_copies, false},
+    {"syscalls", &Stats::syscalls, false},
+    {"invalid_opcode_faults", &Stats::invalid_opcode_faults, false},
+    {"context_switches", &Stats::context_switches, false},
+    {"sched_wake_checks", &Stats::sched_wake_checks, true},
+    {"injections_detected", &Stats::injections_detected, false},
+    {"faults_injected", &Stats::faults_injected, false},
+    {"invariant_violations", &Stats::invariant_violations, false},
+    {"invariant_recoveries", &Stats::invariant_recoveries, false},
+    {"invariant_degradations", &Stats::invariant_degradations, false},
+    {"split_oom_degradations", &Stats::split_oom_degradations, false},
+    {"timer_fires", &Stats::timer_fires, false},
+    {"wait_timeouts", &Stats::wait_timeouts, false},
+    {"sleeps", &Stats::sleeps, false},
+    {"idle_advances", &Stats::idle_advances, false},
+    {"sock_connects", &Stats::sock_connects, false},
+    {"sock_refused", &Stats::sock_refused, false},
+    {"sock_accepts", &Stats::sock_accepts, false},
+    {"sock_backlog_peak", &Stats::sock_backlog_peak, false},
+    {"ipi_sends", &Stats::ipi_sends, false},
+    {"ipi_acks", &Stats::ipi_acks, false},
+    {"tlb_shootdowns", &Stats::tlb_shootdowns, false},
+    {"work_steals", &Stats::work_steals, false},
+};
+
+// Every Stats member is a u64 counter with a row above: a counter added to
+// Stats without one fails the build instead of going unchecked.
+static_assert(sizeof(Stats) == std::size(kCounters) * sizeof(std::uint64_t),
+              "metrics::kCounters must list every Stats counter");
 
 std::ostream& operator<<(std::ostream& os, const Stats& s);
 

@@ -77,8 +77,8 @@ struct WorkloadResult {
   double throughput = 0;   // work units per mega-cycle (workload-specific)
   metrics::Stats stats;
   bool completed = false;
-  // Cycle-attribution profile; populated only when the run was traced
-  // (KernelConfig::trace) and tracing is compiled in.
+  // Cycle-attribution profile; populated exactly when the run was traced
+  // (KernelConfig::trace).
   std::shared_ptr<trace::ProfileSummary> trace_summary;
 };
 

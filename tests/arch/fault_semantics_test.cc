@@ -6,13 +6,13 @@
 // counter must match the per-instruction engine's.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <functional>
 #include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "arch/cpu.h"
+#include "support/billing.h"
 
 namespace sm::arch {
 namespace {
@@ -58,26 +58,6 @@ Cpu::BlockStep step_n(Cpu& cpu, u64 max_attempts) {
     if ((out.trap = cpu.step())) break;
   }
   return out;
-}
-
-// Simulated counters only: the host-side fast-path counters differ between
-// the engines by design.
-metrics::Stats simulated(metrics::Stats s) {
-  s.fetch_fastpath_hits = s.data_fastpath_hits = 0;
-  s.decode_cache_hits = s.decode_cache_misses = 0;
-  s.decode_cache_invalidations = 0;
-  s.block_cache_hits = s.block_cache_misses = 0;
-  s.block_cache_invalidations = s.block_instructions = 0;
-  s.sched_wake_checks = 0;
-  return s;
-}
-
-void expect_same_stats(const metrics::Stats& a, const metrics::Stats& b) {
-  const metrics::Stats sa = simulated(a), sb = simulated(b);
-  EXPECT_EQ(std::memcmp(&sa, &sb, sizeof sa), 0)
-      << "step():\n" << a << "\nblock engine:\n" << b;
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.instructions, b.instructions);
 }
 
 void expect_same_regs(const Regs& a, const Regs& b) {
@@ -190,7 +170,7 @@ void expect_fault_pass(Rig& interp, Rig& blocks, const Case& c) {
   ASSERT_TRUE(bs.trap.has_value());
   expect_same_trap(*bs.trap, *t);
   expect_same_regs(blocks.cpu.regs(), before);
-  expect_same_stats(interp.stats, blocks.stats);
+  EXPECT_TRUE(sm::testing::same_billing(interp.stats, blocks.stats));
   // Only a cached run retires from a block, and never the faulting op.
   EXPECT_LE(blocks.stats.block_instructions - block_instrs, 1u);
 }
@@ -318,7 +298,7 @@ TEST(FaultSemantics, DecodeFaultsUnderBothEngines) {
       EXPECT_EQ(tb.attempts, 3u);
       expect_same_trap(*tb.trap, c.expected);
       expect_same_regs(blocks.cpu.regs(), interp.cpu.regs());
-      expect_same_stats(interp.stats, blocks.stats);
+      EXPECT_TRUE(sm::testing::same_billing(interp.stats, blocks.stats));
       EXPECT_EQ(blocks.stats.block_cache_hits, chained ? 1u : 0u);
       EXPECT_EQ(blocks.stats.block_cache_misses,
                 misses + (chained ? 1u : 2u));

@@ -2,6 +2,8 @@
 // just as important — genuinely divergent behaviour is *detected*.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "fuzz/corpus.h"
 #include "fuzz/generator.h"
 #include "fuzz/oracle.h"
@@ -87,6 +89,25 @@ TEST(FuzzOracle, CleanRunsPassWithBugInjectorDisarmed) {
   for (u64 seed : {1, 2, 3, 4, 5, 6, 7, 8}) {
     const OracleVerdict v = check_case(generate(seed), opts);
     EXPECT_TRUE(v.ok) << "seed " << seed << ": " << v.divergence;
+  }
+}
+
+TEST(FuzzOracle, BillingClauseReportsEveryBilledCounter) {
+  // One observation differs from the reference in exactly one counter:
+  // every counter that bills cycles must be caught and named, every
+  // host-side one exempt.
+  const RunObservation ref;
+  for (const metrics::Counter& c : metrics::kCounters) {
+    RunObservation got;
+    ++(got.stats.*c.field);
+    const std::string d = diff_billing(ref, "ref", got, "got");
+    if (c.host_side) {
+      EXPECT_EQ(d, "") << c.name;
+    } else {
+      EXPECT_NE(d.find(std::string(": ") + c.name + " 1 != 0"),
+                std::string::npos)
+          << c.name << " went unchecked: '" << d << "'";
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "metrics/cost_model.h"
 #include "metrics/stats.h"
@@ -11,18 +12,29 @@ namespace {
 
 TEST(Stats, StreamFormatNamesEveryHeadlineCounter) {
   Stats s;
-  s.cycles = 12;
-  s.instructions = 7;
-  s.page_faults = 3;
-  s.split_dtlb_loads = 2;
-  s.split_itlb_loads = 1;
+  for (std::size_t i = 0; i < std::size(kCounters); ++i) {
+    s.*kCounters[i].field = 100 + i;
+  }
   std::ostringstream os;
   os << s;
-  const std::string out = os.str();
-  EXPECT_NE(out.find("cycles=12"), std::string::npos);
-  EXPECT_NE(out.find("instructions=7"), std::string::npos);
-  EXPECT_NE(out.find("page_faults=3"), std::string::npos);
-  EXPECT_NE(out.find("split_loads(d/i)=2/1"), std::string::npos);
+  const std::string out = " " + os.str() + " ";
+  for (std::size_t i = 0; i < std::size(kCounters); ++i) {
+    const std::string field = std::string(" ") + kCounters[i].name + "=" +
+                              std::to_string(100 + i) + " ";
+    EXPECT_NE(out.find(field), std::string::npos) << kCounters[i].name;
+  }
+}
+
+// kCounters row i is the i-th Stats member: with the size static_assert in
+// stats.h this makes the table complete, duplicate-free and in the order
+// the snapshot record serializes.
+TEST(Stats, CounterTableFollowsDeclarationOrder) {
+  Stats s;
+  const auto* base = reinterpret_cast<const std::uint64_t*>(&s);
+  for (std::size_t i = 0; i < std::size(kCounters); ++i) {
+    EXPECT_EQ(&(s.*kCounters[i].field), base + i) << kCounters[i].name;
+  }
+  EXPECT_STREQ(kCounters[0].name, "cycles");
 }
 
 TEST(Stats, ResetClearsEverything) {

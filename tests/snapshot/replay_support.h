@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "metrics/stats.h"
 #include "snapshot/serializer.h"
 #include "support/guest_runner.h"
 #include "trace/trace.h"
@@ -44,22 +45,18 @@ inline void restore_bytes(kernel::Kernel& k, const std::string& blob) {
 }
 
 // The host-side counters a cold-cache restore may legitimately change
-// (mirrors the fuzz oracle's billing-clause exemption). The raw event
+// (the metrics::kCounters rows the fuzz oracle's billing clause exempts,
+// serialized as machine.stats.<name>). The raw event
 // ring is exempt for the same reason: kBlockBuild/kBlockInvalidate are
 // host-engine cache events interleaved with the architectural ones, and
 // a restored run honestly re-records the blocks its cold cache lost —
 // architectural_events() below compares the non-host subset exactly.
 inline bool host_side_counter(const std::string& key) {
-  static const char* kExempt[] = {
-      "machine.stats.fetch_fastpath_hits",
-      "machine.stats.data_fastpath_hits",
-      "machine.stats.decode_cache_",
-      "machine.stats.block_",
-      "machine.stats.sched_wake_checks",
-      "machine.trace.events",
-  };
-  for (const char* p : kExempt) {
-    if (key.rfind(p, 0) == 0) return true;
+  if (key.rfind("machine.trace.events", 0) == 0) return true;
+  for (const metrics::Counter& c : metrics::kCounters) {
+    if (c.host_side && key == std::string("machine.stats.") + c.name) {
+      return true;
+    }
   }
   return false;
 }

@@ -225,5 +225,31 @@ TEST(SnapshotRoundtrip, MismatchedMachineRejected) {
   }
 }
 
+// The kernel's trace record says whether a sink was saved. The config
+// record (already matched) fixes whether this kernel has one, so a trace
+// record that disagrees with it is malformed input, traced or not.
+TEST(SnapshotRoundtrip, TraceRecordDisagreeingWithConfigRejected) {
+  for (const bool traced : {false, true}) {
+    const kernel::KernelConfig cfg = snapshot_test_cfg(traced);
+    std::string blob = mid_run_blob(cfg);
+    // Group "trace", then its first field: the bool "present".
+    const std::string field("\x07\x05trace\x04\x07present", 16);
+    const std::size_t at = blob.find(field);
+    ASSERT_NE(at, std::string::npos);
+    blob[at + field.size()] ^= 1;
+    auto r = boot(cfg);
+    std::istringstream is(blob);
+    try {
+      r.k->restore(is);
+      ADD_FAILURE() << "restored a trace record that contradicts the config"
+                    << " (traced=" << traced << ")";
+    } catch (const snapshot::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("trace sink presence"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sm

@@ -6,6 +6,7 @@
 
 #include <unordered_map>
 
+#include "support/billing.h"
 #include "support/guest_runner.h"
 #include "trace/trace.h"
 
@@ -61,8 +62,6 @@ testing::GuestRun run_traced(const char* body,
   r.k->run(50'000'000);
   return r;
 }
-
-#if SM_TRACE_ENABLED
 
 TEST(TraceEvents, ForkCowSplitRunEmitsOrderedEvents) {
   auto r = run_traced(kForkCowBody);
@@ -162,16 +161,6 @@ TEST(TraceEvents, SummaryAttributesTheRunsCycles) {
   EXPECT_GT(s.category_cycles(trace::Category::kCowCopy), 0u);
 }
 
-#else  // !SM_TRACE_ENABLED
-
-TEST(TraceEvents, CompiledOutSinkIsNull) {
-  auto r = run_traced(kForkCowBody);
-  ASSERT_TRUE(r.k->all_exited());
-  EXPECT_EQ(r.k->trace_sink(), nullptr);
-}
-
-#endif
-
 // Billing identity, the invariant the whole layer stands on: a traced run
 // and an untraced run of the same program report identical simulated
 // stats, including cycles. (The fuzz oracle sweeps this per engine; this
@@ -189,28 +178,7 @@ TEST(TraceBillingIdentity, TracedAndUntracedStatsAreIdentical) {
   EXPECT_EQ(base.proc().exit_code, traced.proc().exit_code);
   EXPECT_EQ(base.console(), traced.console());
 
-  const metrics::Stats& a = base.k->stats();
-  const metrics::Stats& b = traced.k->stats();
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.itlb_hits, b.itlb_hits);
-  EXPECT_EQ(a.itlb_misses, b.itlb_misses);
-  EXPECT_EQ(a.dtlb_hits, b.dtlb_hits);
-  EXPECT_EQ(a.dtlb_misses, b.dtlb_misses);
-  EXPECT_EQ(a.tlb_flushes, b.tlb_flushes);
-  EXPECT_EQ(a.hardware_walks, b.hardware_walks);
-  EXPECT_EQ(a.page_faults, b.page_faults);
-  EXPECT_EQ(a.split_itlb_loads, b.split_itlb_loads);
-  EXPECT_EQ(a.split_dtlb_loads, b.split_dtlb_loads);
-  EXPECT_EQ(a.split_dtlb_fallbacks, b.split_dtlb_fallbacks);
-  EXPECT_EQ(a.soft_tlb_fills, b.soft_tlb_fills);
-  EXPECT_EQ(a.single_steps, b.single_steps);
-  EXPECT_EQ(a.demand_pages, b.demand_pages);
-  EXPECT_EQ(a.cow_copies, b.cow_copies);
-  EXPECT_EQ(a.syscalls, b.syscalls);
-  EXPECT_EQ(a.invalid_opcode_faults, b.invalid_opcode_faults);
-  EXPECT_EQ(a.context_switches, b.context_switches);
-  EXPECT_EQ(a.injections_detected, b.injections_detected);
+  EXPECT_TRUE(testing::same_billing(base.k->stats(), traced.k->stats()));
 }
 
 }  // namespace
