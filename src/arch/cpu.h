@@ -128,7 +128,8 @@ class Cpu {
   // Stack accesses: on a fault sp is unchanged and the page fault returned.
   std::optional<Trap> pop(u32& v);
   std::optional<Trap> push(u32 v);
-  std::optional<Trap> check_reg(u8 r) const;  // #GP for a bad register
+  // #GP if a register operand the form carries names no register.
+  std::optional<Trap> check_regs(const Decoded& d) const;
 
   Mmu* mmu_;
   metrics::Stats* stats_;

@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdlib>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -77,8 +79,15 @@ class PhysicalMemory {
   void check_pa(u64 pa, u64 len) const;
   void bump_generation(u64 pa, u64 len);
 
+  struct FreeBytes {
+    void operator()(u8* p) const { std::free(p); }
+  };
+
   u32 num_frames_;
-  std::vector<u8> bytes_;
+  u64 size_;  // bytes_ length
+  // calloc'd: the host maps zero pages lazily, so boot does not touch all
+  // of simulated RAM (alloc_frame() zeroes each frame it hands out anyway).
+  std::unique_ptr<u8[], FreeBytes> bytes_;
   std::vector<u64> generations_;
   std::vector<u32> refcounts_;
   std::vector<u32> free_list_;

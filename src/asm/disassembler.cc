@@ -6,14 +6,16 @@
 
 namespace sm::assembler {
 
-using arch::Op;
-
 namespace {
 
+// Operands are formatted with snprintf rather than string concatenation,
+// which GCC 12 release builds flag with -Wrestrict false positives.
 std::string reg_name(u8 r) {
   if (r == arch::kRegSp) return "sp";
   if (r == arch::kRegFp) return "fp";
-  return "r" + std::to_string(r);
+  char buf[8];
+  std::snprintf(buf, sizeof buf, "r%u", static_cast<unsigned>(r));
+  return buf;
 }
 
 std::string hex(u32 v) {
@@ -22,96 +24,44 @@ std::string hex(u32 v) {
   return buf;
 }
 
-u32 imm_at(std::span<const u8> b, std::size_t off) {
-  return static_cast<u32>(b[off]) | (static_cast<u32>(b[off + 1]) << 8) |
-         (static_cast<u32>(b[off + 2]) << 16) |
-         (static_cast<u32>(b[off + 3]) << 24);
-}
-
 std::string mem_operand(u8 base, u32 off) {
-  if (off == 0) return "[" + reg_name(base) + "]";
-  const auto soff = static_cast<arch::i32>(off);
-  if (soff < 0) return "[" + reg_name(base) + "-" + hex(-soff) + "]";
-  return "[" + reg_name(base) + "+" + hex(off) + "]";
+  const std::string r = reg_name(base);
+  char buf[32];
+  if (off == 0) {
+    std::snprintf(buf, sizeof buf, "[%s]", r.c_str());
+  } else if (static_cast<arch::i32>(off) < 0) {
+    std::snprintf(buf, sizeof buf, "[%s-0x%x]", r.c_str(), 0u - off);
+  } else {
+    std::snprintf(buf, sizeof buf, "[%s+0x%x]", r.c_str(), off);
+  }
+  return buf;
 }
 
-std::string render(Op op, std::span<const u8> b) {
-  switch (op) {
-    case Op::kMovi:
-      return "movi " + reg_name(b[1]) + ", " + hex(imm_at(b, 2));
-    case Op::kAddi:
-      return "addi " + reg_name(b[1]) + ", " + hex(imm_at(b, 2));
-    case Op::kCmpi:
-      return "cmpi " + reg_name(b[1]) + ", " + hex(imm_at(b, 2));
-    case Op::kMov:
-      return "mov " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kAdd:
-      return "add " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kSub:
-      return "sub " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kMul:
-      return "mul " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kDiv:
-      return "div " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kModu:
-      return "modu " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kAnd:
-      return "and " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kOr:
-      return "or " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kXor:
-      return "xor " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kShl:
-      return "shl " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kShr:
-      return "shr " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kCmp:
-      return "cmp " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kNot:
-      return "not " + reg_name(b[1]);
-    case Op::kLoad:
-      return "load " + reg_name(b[1]) + ", " + mem_operand(b[2], imm_at(b, 3));
-    case Op::kLoadb:
-      return "loadb " + reg_name(b[1]) + ", " +
-             mem_operand(b[2], imm_at(b, 3));
-    case Op::kStore:
-      return "store " + mem_operand(b[1], imm_at(b, 3)) + ", " +
-             reg_name(b[2]);
-    case Op::kStoreb:
-      return "storeb " + mem_operand(b[1], imm_at(b, 3)) + ", " +
-             reg_name(b[2]);
-    case Op::kJmp:
-      return "jmp " + hex(imm_at(b, 1));
-    case Op::kJz:
-      return "jz " + hex(imm_at(b, 1));
-    case Op::kJnz:
-      return "jnz " + hex(imm_at(b, 1));
-    case Op::kJlt:
-      return "jlt " + hex(imm_at(b, 1));
-    case Op::kJge:
-      return "jge " + hex(imm_at(b, 1));
-    case Op::kJb:
-      return "jb " + hex(imm_at(b, 1));
-    case Op::kJae:
-      return "jae " + hex(imm_at(b, 1));
-    case Op::kCall:
-      return "call " + hex(imm_at(b, 1));
-    case Op::kJmpr:
-      return "jmpr " + reg_name(b[1]);
-    case Op::kCallr:
-      return "callr " + reg_name(b[1]);
-    case Op::kPush:
-      return "push " + reg_name(b[1]);
-    case Op::kPop:
-      return "pop " + reg_name(b[1]);
-    case Op::kRet:
-      return "ret";
-    case Op::kSyscall:
-      return "syscall";
-    case Op::kNop:
-      return "nop";
+// "name op1, op2": operands in encoding order, except that a load's rb and
+// a store's ra print as the base of a memory operand that takes the imm.
+std::string render(const arch::Decoded& d) {
+  using arch::Form;
+  const arch::OpInfo& row = arch::op_info(d.op);
+  const Form f = row.form;
+  std::string out = row.name;
+  auto operand = [&out, sep = " "](const std::string& text) mutable {
+    out += sep;
+    out += text;
+    sep = ", ";
+  };
+  if (f == Form::kStore) {
+    operand(mem_operand(d.ra, d.imm));
+  } else if (arch::has_ra(f)) {
+    operand(reg_name(d.ra));
   }
-  return "(bad)";
+  if (f == Form::kLoad) {
+    operand(mem_operand(d.rb, d.imm));
+  } else if (arch::has_rb(f)) {
+    operand(reg_name(d.rb));
+  } else if (arch::has_imm(f)) {
+    operand(hex(d.imm));
+  }
+  return out;
 }
 
 }  // namespace
@@ -123,17 +73,16 @@ std::vector<DisasmLine> disassemble(std::span<const u8> bytes, u32 base_addr,
   while (pos < bytes.size() && out.size() < max_instrs) {
     DisasmLine line;
     line.addr = base_addr + static_cast<u32>(pos);
-    const u8 opcode = bytes[pos];
-    const u32 len = arch::instr_length(opcode);
-    if (len == 0 || pos + len > bytes.size()) {
-      line.bytes = {opcode};
+    const auto d = arch::decode(bytes.subspan(pos));
+    if (!d) {
+      line.bytes = {bytes[pos]};
       line.text = "(bad)";
       pos += 1;
     } else {
-      const auto view = bytes.subspan(pos, len);
+      const auto view = bytes.subspan(pos, d->len);
       line.bytes.assign(view.begin(), view.end());
-      line.text = render(static_cast<Op>(opcode), view);
-      pos += len;
+      line.text = render(*d);
+      pos += d->len;
     }
     out.push_back(std::move(line));
   }

@@ -8,69 +8,34 @@ namespace sm::attacks {
 
 using arch::Op;
 
-namespace {
-u8 op(Op o) { return static_cast<u8>(o); }
-}  // namespace
-
 ShellcodeBuilder& ShellcodeBuilder::nop_sled(std::size_t n) {
-  bytes_.insert(bytes_.end(), n, op(Op::kNop));
+  bytes_.insert(bytes_.end(), n, static_cast<u8>(Op::kNop));
   return *this;
 }
 
 ShellcodeBuilder& ShellcodeBuilder::movi(u8 reg, u32 imm) {
-  bytes_.push_back(op(Op::kMovi));
-  bytes_.push_back(reg);
-  return word(imm);
+  return insn(Op::kMovi, reg, 0, imm);
 }
 
 ShellcodeBuilder& ShellcodeBuilder::mov(u8 rd, u8 rs) {
-  bytes_.push_back(op(Op::kMov));
-  bytes_.push_back(rd);
-  bytes_.push_back(rs);
-  return *this;
-}
-
-ShellcodeBuilder& ShellcodeBuilder::addi(u8 reg, u32 imm) {
-  bytes_.push_back(op(Op::kAddi));
-  bytes_.push_back(reg);
-  return word(imm);
+  return insn(Op::kMov, rd, rs);
 }
 
 ShellcodeBuilder& ShellcodeBuilder::cmpi(u8 reg, u32 imm) {
-  bytes_.push_back(op(Op::kCmpi));
-  bytes_.push_back(reg);
-  return word(imm);
-}
-
-ShellcodeBuilder& ShellcodeBuilder::jz(u32 addr) {
-  bytes_.push_back(op(Op::kJz));
-  return word(addr);
-}
-
-ShellcodeBuilder& ShellcodeBuilder::jnz(u32 addr) {
-  bytes_.push_back(op(Op::kJnz));
-  return word(addr);
-}
-
-ShellcodeBuilder& ShellcodeBuilder::jmp(u32 addr) {
-  bytes_.push_back(op(Op::kJmp));
-  return word(addr);
-}
-
-ShellcodeBuilder& ShellcodeBuilder::push(u8 reg) {
-  bytes_.push_back(op(Op::kPush));
-  bytes_.push_back(reg);
-  return *this;
-}
-
-ShellcodeBuilder& ShellcodeBuilder::pop(u8 reg) {
-  bytes_.push_back(op(Op::kPop));
-  bytes_.push_back(reg);
-  return *this;
+  return insn(Op::kCmpi, reg, 0, imm);
 }
 
 ShellcodeBuilder& ShellcodeBuilder::syscall() {
-  bytes_.push_back(op(Op::kSyscall));
+  return insn(Op::kSyscall);
+}
+
+ShellcodeBuilder& ShellcodeBuilder::insn(Op op, u8 ra, u8 rb, u32 imm) {
+  arch::Decoded d;
+  d.op = op;
+  d.ra = ra;
+  d.rb = rb;
+  d.imm = imm;
+  arch::encode(d, bytes_);
   return *this;
 }
 

@@ -19,13 +19,7 @@ class ShellcodeBuilder {
   ShellcodeBuilder& nop_sled(std::size_t n);
   ShellcodeBuilder& movi(u8 reg, u32 imm);
   ShellcodeBuilder& mov(u8 rd, u8 rs);
-  ShellcodeBuilder& addi(u8 reg, u32 imm);
   ShellcodeBuilder& cmpi(u8 reg, u32 imm);
-  ShellcodeBuilder& jz(u32 addr);
-  ShellcodeBuilder& jnz(u32 addr);
-  ShellcodeBuilder& jmp(u32 addr);
-  ShellcodeBuilder& push(u8 reg);
-  ShellcodeBuilder& pop(u8 reg);
   ShellcodeBuilder& syscall();
   ShellcodeBuilder& raw(std::span<const u8> bytes);
   ShellcodeBuilder& word(u32 v);  // literal 32-bit data
@@ -34,6 +28,9 @@ class ShellcodeBuilder {
   std::vector<u8> build() const { return bytes_; }
 
  private:
+  // Appends `op` encoded with the operands its form carries.
+  ShellcodeBuilder& insn(arch::Op op, u8 ra = 0, u8 rb = 0, u32 imm = 0);
+
   std::vector<u8> bytes_;
 };
 

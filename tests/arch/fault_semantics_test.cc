@@ -138,8 +138,7 @@ u32 load_program(Rig& rig, const Case& c) {
   rig.emit(0x1000, {0x19, 0, 1, 0, 0, 0});  // addi r0, 1
   u32 va = 0x1006;
   for (u8 b : c.instr) rig.emit(va++, {b});
-  const Op op = static_cast<Op>(c.instr[0]);
-  if (op == Op::kCall || op == Op::kCallr || op == Op::kRet) return 2;
+  if (op_info(c.instr[0])->flags & kTerminator) return 2;  // no fall-through
   rig.emit(va, {0x20, 0x00, 0x10, 0, 0});  // jmp 0x1000
   return 3;
 }

@@ -229,51 +229,38 @@ _start:
 }
 
 TEST(IsaCoverage, InstrLengthTableMatchesDecoder) {
-  // Every defined opcode has a nonzero length; every undefined one is 0.
-  using arch::Op;
-  const Op defined[] = {
-      Op::kMovi, Op::kMov,   Op::kLoad, Op::kStore, Op::kLoadb, Op::kStoreb,
-      Op::kAdd,  Op::kSub,   Op::kMul,  Op::kDiv,   Op::kAnd,   Op::kOr,
-      Op::kXor,  Op::kShl,   Op::kShr,  Op::kAddi,  Op::kCmp,   Op::kCmpi,
-      Op::kNot,  Op::kModu,  Op::kJmp,  Op::kJz,    Op::kJnz,   Op::kJlt,
-      Op::kJge,  Op::kJb,    Op::kJae,  Op::kJmpr,  Op::kCall,  Op::kCallr,
-      Op::kRet,  Op::kPush,  Op::kPop,  Op::kSyscall, Op::kNop};
+  // The 35 table rows are the only defined opcodes, each with its form's
+  // length; the other 221 bytes are #UD (the CPU side is
+  // CpuTest.InvalidOpcodeFaultsWithoutAdvancing and IsaRoundTrip.*).
   int defined_count = 0;
   for (int op = 0; op < 256; ++op) {
-    const bool is_defined =
-        std::find(std::begin(defined), std::end(defined),
-                  static_cast<Op>(op)) != std::end(defined);
-    if (is_defined) {
-      EXPECT_GT(arch::instr_length(static_cast<arch::u8>(op)), 0u)
-          << "opcode 0x" << std::hex << op;
-      ++defined_count;
-    } else {
-      EXPECT_EQ(arch::instr_length(static_cast<arch::u8>(op)), 0u)
-          << "opcode 0x" << std::hex << op;
-    }
+    const auto byte = static_cast<arch::u8>(op);
+    const arch::OpInfo* row = arch::op_info(byte);
+    const arch::u32 expected =
+        row != nullptr ? arch::form_length(row->form) : 0;
+    EXPECT_EQ(arch::instr_length(byte), expected)
+        << "opcode 0x" << std::hex << op;
+    if (row == nullptr) continue;
+    EXPECT_EQ(static_cast<int>(row->op), op);
+    EXPECT_GT(expected, 0u);
+    ++defined_count;
   }
   EXPECT_EQ(defined_count, 35);
+  EXPECT_EQ(std::size(arch::kOpTable), 35u);
 }
 
 TEST(IsaCoverage, FuzzGeneratorWeightTableCoversEveryOpcode) {
   // The differential fuzzer's opcode bias table must name every opcode the
   // ISA defines with a positive weight — otherwise new instructions get
-  // zero fuzz coverage silently. instr_length() > 0 is the decoder's own
-  // definition of "this opcode exists", so the two cannot drift apart.
+  // zero fuzz coverage silently.
   const auto& weights = sm::fuzz::opcode_weights();
-  std::string missing;
-  for (int op = 0; op < 256; ++op) {
-    if (arch::instr_length(static_cast<arch::u8>(op)) == 0) continue;
-    const auto it = weights.find(static_cast<arch::Op>(op));
-    if (it == weights.end() || it->second == 0) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, " 0x%02x", op);
-      missing += buf;
-    }
+  for (const arch::OpInfo& row : arch::kOpTable) {
+    const auto it = weights.find(row.op);
+    EXPECT_TRUE(it != weights.end() && it->second > 0)
+        << row.name << " missing from fuzz::opcode_weights() (src/fuzz/"
+        << "generator.cc)";
   }
-  EXPECT_TRUE(missing.empty())
-      << "opcodes missing from fuzz::opcode_weights() (src/fuzz/"
-         "generator.cc):" << missing;
+  EXPECT_EQ(weights.size(), std::size(arch::kOpTable));
 }
 
 TEST(IsaCoverage, DivByZeroKillsViaModuToo) {

@@ -2,41 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "asm/assembler.h"
-
 namespace sm::assembler {
 namespace {
-
-TEST(Disassembler, RoundTripsCommonInstructions) {
-  const Program p = assemble(R"(
-  movi r0, 0x5
-  mov r1, r0
-  load r2, [sp+4]
-  store [fp-8], r3
-  cmpi r0, 0x7
-  jz 0x2000
-  call 0x3000
-  push r4
-  ret
-  syscall
-  nop
-)");
-  const auto lines = disassemble(p.text, p.layout.text_base);
-  ASSERT_EQ(lines.size(), 11u);
-  EXPECT_EQ(lines[0].text, "movi r0, 0x5");
-  EXPECT_EQ(lines[1].text, "mov r1, r0");
-  EXPECT_EQ(lines[2].text, "load r2, [sp+0x4]");
-  EXPECT_EQ(lines[3].text, "store [fp-0x8], r3");
-  EXPECT_EQ(lines[4].text, "cmpi r0, 0x7");
-  EXPECT_EQ(lines[5].text, "jz 0x2000");
-  EXPECT_EQ(lines[6].text, "call 0x3000");
-  EXPECT_EQ(lines[7].text, "push r4");
-  EXPECT_EQ(lines[8].text, "ret");
-  EXPECT_EQ(lines[9].text, "syscall");
-  EXPECT_EQ(lines[10].text, "nop");
-  EXPECT_EQ(lines[0].addr, p.layout.text_base);
-  EXPECT_EQ(lines[1].addr, p.layout.text_base + 6);
-}
 
 TEST(Disassembler, InvalidBytesMarkedBad) {
   const std::vector<arch::u8> bytes = {0x00, 0xFF, 0x90};

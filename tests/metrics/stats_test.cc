@@ -17,7 +17,9 @@ TEST(Stats, StreamFormatNamesEveryHeadlineCounter) {
   }
   std::ostringstream os;
   os << s;
-  const std::string out = " " + os.str() + " ";
+  std::string out = " ";
+  out += os.str();
+  out += " ";
   for (std::size_t i = 0; i < std::size(kCounters); ++i) {
     const std::string field = std::string(" ") + kCounters[i].name + "=" +
                               std::to_string(100 + i) + " ";
