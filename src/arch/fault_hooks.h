@@ -31,7 +31,7 @@ class FaultHooks {
   }
 
   // A physical frame is about to be allocated. Return true to make the
-  // allocation fail as if the free list were empty (transient exhaustion).
+  // allocation fail as if the free pool were empty (transient exhaustion).
   virtual bool fail_frame_alloc() { return false; }
 };
 

@@ -13,11 +13,6 @@ PhysicalMemory::PhysicalMemory(u32 num_frames)
       generations_(num_frames, 0),
       refcounts_(num_frames, 0) {
   if (bytes_ == nullptr && size_ != 0) throw std::bad_alloc();
-  free_list_.reserve(num_frames);
-  // Hand out low frames first: push in reverse so pop_back yields frame 0.
-  for (u32 i = 0; i < num_frames; ++i) {
-    free_list_.push_back(num_frames - 1 - i);
-  }
 }
 
 void PhysicalMemory::check_pa(u64 pa, u64 len) const {
@@ -89,9 +84,15 @@ u32 PhysicalMemory::alloc_frame() {
       [[unlikely]] {
     throw OutOfMemoryError{};  // injected transient exhaustion
   }
-  if (free_list_.empty()) throw OutOfMemoryError{};
-  const u32 pfn = free_list_.back();
-  free_list_.pop_back();
+  u32 pfn;
+  if (!recycled_.empty()) {
+    pfn = recycled_.back();
+    recycled_.pop_back();
+  } else if (fresh_ < num_frames_) {
+    pfn = fresh_++;
+  } else {
+    throw OutOfMemoryError{};
+  }
   refcounts_[pfn] = 1;
   ++frames_in_use_;
   std::ranges::fill(frame_bytes(pfn), u8{0});
@@ -110,7 +111,7 @@ void PhysicalMemory::unref_frame(u32 pfn) {
     throw std::logic_error("unref of unallocated frame");
   }
   if (--refcounts_[pfn] == 0) {
-    free_list_.push_back(pfn);
+    recycled_.push_back(pfn);
     --frames_in_use_;
   }
 }

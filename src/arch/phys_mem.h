@@ -60,6 +60,8 @@ class PhysicalMemory {
 
   // --- frame allocator --------------------------------------------------
   // Allocates a zeroed frame with refcount 1. Throws OutOfMemoryError.
+  // Order: the most recently freed frame first (LIFO), then the lowest
+  // never-allocated one — a fresh machine hands out 0, 1, 2, ...
   u32 alloc_frame();
   void ref_frame(u32 pfn);
   // Drops one reference; the frame returns to the free pool at zero.
@@ -90,7 +92,11 @@ class PhysicalMemory {
   std::unique_ptr<u8[], FreeBytes> bytes_;
   std::vector<u64> generations_;
   std::vector<u32> refcounts_;
-  std::vector<u32> free_list_;
+  // The free pool is a watermark plus a stack: frames [fresh_, num_frames_)
+  // have never been allocated (so their refcounts are all zero), and
+  // recycled_ holds the freed frames below fresh_, most recent on top.
+  u32 fresh_ = 0;
+  std::vector<u32> recycled_;
   u32 frames_in_use_ = 0;
   FaultHooks* fault_hooks_ = nullptr;
 };

@@ -39,10 +39,27 @@ void Writer::tag(FieldKind k, const char* name) {
   os_->write(name, static_cast<std::streamsize>(n));
 }
 
-Reader::Reader(std::istream& is) : is_(&is) {
-  char magic[8];
-  read_exact(magic, sizeof magic, "magic");
-  if (std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
+Reader::Reader(std::istream& is) {
+  // One pass over the stream into one buffer. A stream that knows its
+  // remaining length (string and blob streams do) is read in one go.
+  const std::streamsize avail = is.rdbuf() ? is.rdbuf()->in_avail() : 0;
+  std::size_t cap = avail > 0 ? static_cast<std::size_t>(avail) : 1u << 16;
+  std::size_t size = 0;
+  buf_ = std::make_unique_for_overwrite<u8[]>(cap);
+  for (;;) {
+    is.read(reinterpret_cast<char*>(buf_.get() + size),
+            static_cast<std::streamsize>(cap - size));
+    size += static_cast<std::size_t>(is.gcount());
+    if (size < cap || is.peek() == std::istream::traits_type::eof()) break;
+    auto grown = std::make_unique_for_overwrite<u8[]>(cap * 2);
+    std::memcpy(grown.get(), buf_.get(), size);
+    buf_ = std::move(grown);
+    cap *= 2;
+  }
+  pos_ = buf_.get();
+  end_ = pos_ + size;
+
+  if (std::memcmp(need(sizeof kMagic, "magic"), kMagic, sizeof kMagic) != 0) {
     fail("bad magic (not a snapshot file)");
   }
   const u32 version = raw32();
@@ -54,41 +71,21 @@ Reader::Reader(std::istream& is) : is_(&is) {
 
 void Reader::fail(const std::string& why) {
   std::string ctx = why;
-  if (!last_field_.empty()) ctx += " (after field '" + last_field_ + "')";
+  if (!last_field_.empty()) {
+    ctx += " (after field '" + std::string(last_field_) + "')";
+  }
   throw SnapshotError(ctx);
 }
 
-void Reader::read_exact(void* out, std::size_t n, const char* what) {
-  is_->read(static_cast<char*>(out), static_cast<std::streamsize>(n));
-  if (static_cast<std::size_t>(is_->gcount()) != n) {
-    fail(std::string("truncated stream reading ") + what);
-  }
-}
-
-u8 Reader::get8() {
-  u8 v;
-  read_exact(&v, 1, "value");
-  return v;
-}
-
-u32 Reader::raw32() {
-  u8 b[4];
-  read_exact(b, 4, "value");
-  return static_cast<u32>(b[0]) | (static_cast<u32>(b[1]) << 8) |
-         (static_cast<u32>(b[2]) << 16) | (static_cast<u32>(b[3]) << 24);
-}
-
-void Reader::expect(FieldKind k, const char* name) {
-  u8 got_kind;
-  read_exact(&got_kind, 1, "field kind");
-  u8 name_len;
-  read_exact(&name_len, 1, "field name length");
-  char buf[256];
-  read_exact(buf, name_len, "field name");
-  const std::string got_name(buf, name_len);
+void Reader::expect_slow(FieldKind k, const char* name) {
+  const u8 got_kind = *need(1, "field kind");
+  const u8 name_len = *need(1, "field name length");
+  const std::string_view got_name(
+      reinterpret_cast<const char*>(need(name_len, "field name")), name_len);
   if (got_kind != static_cast<u8>(k) || got_name != name) {
     fail("expected " + std::string(kind_name(k)) + " '" + name + "', found " +
-         kind_name(static_cast<FieldKind>(got_kind)) + " '" + got_name + "'");
+         kind_name(static_cast<FieldKind>(got_kind)) + " '" +
+         std::string(got_name) + "'");
   }
   last_field_ = got_name;
 }
@@ -97,16 +94,14 @@ void Reader::value(const char* name, std::string& v) {
   expect(FieldKind::kStr, name);
   const u32 n = raw32();
   if (n > kMaxStrLen) fail("string length " + std::to_string(n) + " over cap");
-  v.resize(n);
-  if (n) read_exact(v.data(), n, "string payload");
+  v.assign(reinterpret_cast<const char*>(need(n, "string payload")), n);
 }
 
-void Reader::value(const char* name, std::vector<u8>& v) {
+std::span<const u8> Reader::bytes_view(const char* name) {
   expect(FieldKind::kBytes, name);
   const u32 n = raw32();
   if (n > kMaxBytesLen) fail("bytes length " + std::to_string(n) + " over cap");
-  v.resize(n);
-  if (n) read_exact(v.data(), n, "bytes payload");
+  return {need(n, "bytes payload"), n};
 }
 
 void Reader::bytes_into(const char* name, std::span<u8> out) {
@@ -116,45 +111,33 @@ void Reader::bytes_into(const char* name, std::span<u8> out) {
     fail("bytes field '" + std::string(name) + "' length " +
          std::to_string(n) + " != expected " + std::to_string(out.size()));
   }
-  if (n) read_exact(out.data(), n, "bytes payload");
+  std::memcpy(out.data(), need(n, "bytes payload"), n);
 }
 
 std::vector<DumpLine> dump(std::istream& is) {
-  // Re-implements the wire walk without a schema: every field carries its
-  // own kind and name, so the only shared knowledge is the TLV layout.
-  Reader header_check(is);  // validates magic + version, then is unused
+  // Walks the wire without a schema: every field carries its own kind and
+  // name, so the only shared knowledge is the TLV layout.
+  Reader r(is);  // reads the stream and validates magic + version
   std::vector<DumpLine> lines;
   std::vector<std::string> path{"snapshot_root"};
-  // Use raw stream reads mirroring Reader's primitives.
-  auto read_exact = [&is](void* out, std::size_t n) {
-    is.read(static_cast<char*>(out), static_cast<std::streamsize>(n));
-    return static_cast<std::size_t>(is.gcount()) == n;
-  };
-  auto r32 = [&](u32& v) {
-    u8 b[4];
-    if (!read_exact(b, 4)) return false;
-    v = static_cast<u32>(b[0]) | (static_cast<u32>(b[1]) << 8) |
-        (static_cast<u32>(b[2]) << 16) | (static_cast<u32>(b[3]) << 24);
-    return true;
-  };
   // Sibling-name disambiguation: repeated names within one parent group
   // get a [i] suffix so dump keys are unique and diff can align on them.
   std::vector<std::map<std::string, u32>> seen(1);
 
   for (;;) {
-    u8 kind_b;
-    if (!read_exact(&kind_b, 1)) {
+    const u8* kind_b = r.take(1);
+    if (kind_b == nullptr) {
       if (path.size() == 1) break;  // clean EOF at top level
       throw SnapshotError("truncated stream: " +
                           std::to_string(path.size() - 1) +
                           " unclosed group(s)");
     }
-    u8 name_len;
-    if (!read_exact(&name_len, 1)) throw SnapshotError("truncated field name");
-    char nbuf[256];
-    if (!read_exact(nbuf, name_len)) throw SnapshotError("truncated field name");
-    std::string name(nbuf, name_len);
-    const auto kind = static_cast<FieldKind>(kind_b);
+    const u8* name_len = r.take(1);
+    if (name_len == nullptr) throw SnapshotError("truncated field name");
+    const u8* nbuf = r.take(*name_len);
+    if (nbuf == nullptr) throw SnapshotError("truncated field name");
+    std::string name(reinterpret_cast<const char*>(nbuf), *name_len);
+    const auto kind = static_cast<FieldKind>(*kind_b);
 
     if (kind == FieldKind::kGroupEnd) {
       if (path.size() == 1) throw SnapshotError("unbalanced group end");
@@ -169,53 +152,47 @@ std::vector<DumpLine> dump(std::istream& is) {
     for (std::size_t i = 1; i < path.size(); ++i) key += path[i] + ".";
     key += name;
 
+    const auto take = [&](std::size_t n, const char* kind_label) {
+      const u8* p = r.take(n);
+      if (p == nullptr) {
+        throw SnapshotError(std::string("truncated ") + kind_label + " " + key);
+      }
+      return p;
+    };
     switch (kind) {
       case FieldKind::kGroupBegin:
         path.push_back(name);
         seen.emplace_back();
         break;
-      case FieldKind::kU8: {
-        u8 v;
-        if (!read_exact(&v, 1)) throw SnapshotError("truncated u8 " + key);
-        lines.push_back({key, std::to_string(v)});
+      case FieldKind::kU8:
+        lines.push_back({key, std::to_string(*take(1, "u8"))});
         break;
-      }
-      case FieldKind::kU32: {
-        u32 v;
-        if (!r32(v)) throw SnapshotError("truncated u32 " + key);
-        lines.push_back({key, std::to_string(v)});
+      case FieldKind::kU32:
+        lines.push_back({key, std::to_string(Reader::load32(take(4, "u32")))});
         break;
-      }
       case FieldKind::kU64: {
-        u32 lo, hi;
-        if (!r32(lo) || !r32(hi)) throw SnapshotError("truncated u64 " + key);
+        const u8* b = take(8, "u64");
         lines.push_back(
-            {key, hex64((static_cast<u64>(hi) << 32) | lo)});
+            {key, hex64(static_cast<u64>(Reader::load32(b + 4)) << 32 |
+                        Reader::load32(b))});
         break;
       }
-      case FieldKind::kBool: {
-        u8 v;
-        if (!read_exact(&v, 1)) throw SnapshotError("truncated bool " + key);
-        lines.push_back({key, v ? "true" : "false"});
+      case FieldKind::kBool:
+        lines.push_back({key, *take(1, "bool") ? "true" : "false"});
         break;
-      }
       case FieldKind::kStr: {
-        u32 n;
-        if (!r32(n)) throw SnapshotError("truncated str " + key);
+        const u32 n = Reader::load32(take(4, "str"));
         if (n > kMaxStrLen) throw SnapshotError("str over cap at " + key);
-        std::string s(n, '\0');
-        if (n && !read_exact(s.data(), n))
-          throw SnapshotError("truncated str " + key);
-        lines.push_back({key, "\"" + s + "\""});
+        const u8* p = take(n, "str");
+        lines.push_back(
+            {key, "\"" + std::string(reinterpret_cast<const char*>(p), n) +
+                      "\""});
         break;
       }
       case FieldKind::kBytes: {
-        u32 n;
-        if (!r32(n)) throw SnapshotError("truncated bytes " + key);
+        const u32 n = Reader::load32(take(4, "bytes"));
         if (n > kMaxBytesLen) throw SnapshotError("bytes over cap at " + key);
-        std::vector<u8> v(n);
-        if (n && !read_exact(v.data(), n))
-          throw SnapshotError("truncated bytes " + key);
+        const std::span<const u8> v(take(n, "bytes"), n);
         std::string rendered;
         if (n <= 32) {
           // Short payloads inline as hex so diffs show the actual bytes.
@@ -234,7 +211,7 @@ std::vector<DumpLine> dump(std::istream& is) {
       }
       default:
         throw SnapshotError("unknown field kind " +
-                            std::to_string(kind_b) + " at " + key);
+                            std::to_string(*kind_b) + " at " + key);
     }
   }
   return lines;

@@ -23,10 +23,12 @@
 
 #include <cstring>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/types.h"
@@ -53,7 +55,10 @@ inline constexpr char kMagic[8] = {'S', 'M', 'S', 'N', 'A', 'P', '\x1a', 0};
 // page's va and SHA-256 of its bytes), so v2 digests no longer compare.
 // v4: the stats record carries the SMP counters (ipi_sends, ipi_acks,
 // tlb_shootdowns, work_steals); v3 restores reset them to zero.
-inline constexpr u32 kFormatVersion = 4;
+// v5: physical memory stores its free pool as a watermark ("fresh") plus
+// the stack of freed frames ("recycled") instead of a whole free list, so
+// a snapshot's size no longer grows with the machine's RAM.
+inline constexpr u32 kFormatVersion = 5;
 
 // Field kinds on the wire.
 enum class FieldKind : u8 {
@@ -134,9 +139,19 @@ class Writer {
   std::ostream* os_;
 };
 
+// One dumped field: the dotted group path + name, and a printable value.
+struct DumpLine {
+  std::string key;    // e.g. "snapshot.procs.proc[2].regs.pc"
+  std::string value;  // e.g. "0x00401038" or "bytes[4096] sha256=ab12..."
+};
+
+// Restore side. The constructor reads the whole stream into one buffer;
+// every field is then parsed in place from memory, with a bounds check on
+// each access, so a truncated or corrupt stream is a SnapshotError, never
+// a read past the end.
 class Reader {
  public:
-  // Validates magic + version up front.
+  // Reads `is` to its end, then validates magic + version.
   explicit Reader(std::istream& is);
 
   static constexpr bool reading = true;
@@ -161,7 +176,13 @@ class Reader {
     v = get8() != 0;
   }
   void value(const char* name, std::string& v);
-  void value(const char* name, std::vector<u8>& v);
+  void value(const char* name, std::vector<u8>& v) {
+    const std::span<const u8> b = bytes_view(name);
+    v.assign(b.begin(), b.end());
+  }
+  // A bytes field as a view into the reader's buffer, valid while the
+  // Reader lives.
+  std::span<const u8> bytes_view(const char* name);
   // Reads a bytes field that must be exactly out.size() long (fixed-size
   // payloads like a physical frame).
   void bytes_into(const char* name, std::span<u8> out);
@@ -173,25 +194,52 @@ class Reader {
 
   [[noreturn]] void fail(const std::string& why);
 
+  // The little-endian u32 at b (the wire's integer encoding).
+  static u32 load32(const u8* b) {
+    return static_cast<u32>(b[0]) | (static_cast<u32>(b[1]) << 8) |
+           (static_cast<u32>(b[2]) << 16) | (static_cast<u32>(b[3]) << 24);
+  }
+
  private:
-  void expect(FieldKind k, const char* name);
-  u8 get8();
-  u32 raw32();
+  friend std::vector<DumpLine> dump(std::istream& is);
+
+  // The next n bytes, or nullptr (consuming nothing) if fewer remain.
+  const u8* take(std::size_t n) {
+    if (n > static_cast<std::size_t>(end_ - pos_)) return nullptr;
+    const u8* p = pos_;
+    pos_ += n;
+    return p;
+  }
+  const u8* need(std::size_t n, const char* what) {
+    const u8* p = take(n);
+    if (p == nullptr) fail(std::string("truncated stream reading ") + what);
+    return p;
+  }
+  // The tag is [kind][name length][name]; a match consumes it in place.
+  void expect(FieldKind k, const char* name) {
+    const std::size_t n = std::strlen(name);
+    if (static_cast<std::size_t>(end_ - pos_) >= 2 + n &&
+        pos_[0] == static_cast<u8>(k) && pos_[1] == n &&
+        std::memcmp(pos_ + 2, name, n) == 0) {
+      last_field_ = {reinterpret_cast<const char*>(pos_ + 2), n};
+      pos_ += 2 + n;
+      return;
+    }
+    expect_slow(k, name);
+  }
+  void expect_slow(FieldKind k, const char* name);
+  u8 get8() { return *need(1, "value"); }
+  u32 raw32() { return load32(need(4, "value")); }
   u64 raw64() {
     const u64 lo = raw32();
     const u64 hi = raw32();
     return lo | (hi << 32);
   }
-  void read_exact(void* out, std::size_t n, const char* what);
 
-  std::istream* is_;
-  std::string last_field_;  // for error context
-};
-
-// One dumped field: the dotted group path + name, and a printable value.
-struct DumpLine {
-  std::string key;    // e.g. "snapshot.procs.proc[2].regs.pc"
-  std::string value;  // e.g. "0x00401038" or "bytes[4096] sha256=ab12..."
+  std::unique_ptr<u8[]> buf_;
+  const u8* pos_ = nullptr;
+  const u8* end_ = nullptr;
+  std::string_view last_field_;  // for error context; points into buf_
 };
 
 // Generic schema-free walk of a whole snapshot stream (smsnap dump).

@@ -10,6 +10,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -39,16 +40,16 @@ using arch::kPageSize;
 template <class Ar, class C>
 void u32_seq(Ar& ar, const char* name, C& c) {
   if constexpr (Ar::reading) {
-    std::vector<u8> blob;
-    ar.value(name, blob);
+    const std::span<const u8> blob = ar.bytes_view(name);
     ar.check(blob.size() % 4 == 0, "u32 sequence length not a multiple of 4");
-    c.clear();
-    for (std::size_t i = 0; i < blob.size(); i += 4) {
-      const u32 v = static_cast<u32>(blob[i]) |
-                    static_cast<u32>(blob[i + 1]) << 8 |
-                    static_cast<u32>(blob[i + 2]) << 16 |
-                    static_cast<u32>(blob[i + 3]) << 24;
-      c.insert(c.end(), v);
+    const std::size_t n = blob.size() / 4;
+    const auto at = [&](std::size_t i) { return Reader::load32(&blob[i * 4]); };
+    if constexpr (std::is_same_v<C, std::vector<u32>>) {
+      c.resize(n);
+      for (std::size_t i = 0; i < n; ++i) c[i] = at(i);
+    } else {
+      c.clear();
+      for (std::size_t i = 0; i < n; ++i) c.insert(c.end(), at(i));
     }
   } else {
     std::vector<u8> blob;
@@ -67,8 +68,7 @@ void u32_seq(Ar& ar, const char* name, C& c) {
 template <class Ar>
 void u64_array(Ar& ar, const char* name, std::span<u64> a) {
   if constexpr (Ar::reading) {
-    std::vector<u8> blob;
-    ar.value(name, blob);
+    const std::span<const u8> blob = ar.bytes_view(name);
     ar.check(blob.size() == a.size() * 8, "u64 array length mismatch");
     for (std::size_t i = 0; i < a.size(); ++i) {
       u64 v = 0;
@@ -98,8 +98,7 @@ void enum_u8(Ar& ar, const char* name, E& e, u8 count) {
 template <class Ar>
 void byte_deque(Ar& ar, const char* name, std::deque<u8>& d) {
   if constexpr (Ar::reading) {
-    std::vector<u8> v;
-    ar.value(name, v);
+    const std::span<const u8> v = ar.bytes_view(name);
     d.assign(v.begin(), v.end());
   } else {
     std::vector<u8> v(d.begin(), d.end());
@@ -271,26 +270,39 @@ void Access::phys(Ar& ar, arch::PhysicalMemory& pm) {
   ar.value("num_frames", nf);
   ar.check(nf == pm.num_frames_, "frame count mismatch");
   ar.value("frames_in_use", pm.frames_in_use_);
-  u32_seq(ar, "free_list", pm.free_list_);
+  // The free pool is the watermark plus the recycled stack (phys_mem.h).
+  // Frames at and above the watermark were never allocated: their
+  // refcounts are zero on both sides, so all work below runs over
+  // [0, fresh) — what the machine has touched, not how much RAM it has.
+  u32 fresh = pm.fresh_;
+  ar.value("fresh", fresh);
+  ar.check(fresh <= nf, "fresh watermark beyond memory");
+  u32_seq(ar, "recycled", pm.recycled_);
   if constexpr (Ar::reading) {
-    ar.check(pm.free_list_.size() <= nf, "free list longer than memory");
-    for (const u32 pfn : pm.free_list_) {
-      ar.check(pfn < nf, "free-list pfn out of range");
+    ar.check(pm.recycled_.size() <= fresh, "recycled stack longer than memory");
+    // Each recycled index must name one frame below the watermark, once:
+    // a repeated entry would hand one frame to two owners.
+    std::vector<bool> listed(fresh, false);
+    for (const u32 pfn : pm.recycled_) {
+      ar.check(pfn < fresh, "recycled pfn at or above the fresh watermark");
+      ar.check(!listed[pfn], "recycled frame listed twice");
+      listed[pfn] = true;
     }
-    std::ranges::fill(pm.refcounts_, 0u);
+    std::fill_n(pm.refcounts_.begin(), pm.fresh_, 0u);
+    pm.fresh_ = fresh;
   }
   // Only frames with a live reference carry bytes: alloc_frame() zeroes a
   // frame on allocation, so free-frame contents are unobservable, and
   // free-frame generations only feed host caches that restore drops cold.
   u32 used = 0;
   if constexpr (!Ar::reading) {
-    for (u32 p = 0; p < nf; ++p) used += pm.refcounts_[p] > 0 ? 1 : 0;
+    for (u32 p = 0; p < fresh; ++p) used += pm.refcounts_[p] > 0 ? 1 : 0;
   }
   ar.value("used_frames", used);
   ar.check(used <= nf, "used-frame count exceeds memory");
   ar.check(used == pm.frames_in_use_, "frames_in_use disagrees with payload");
-  ar.check(static_cast<u64>(used) + pm.free_list_.size() == nf,
-           "free list and used frames do not cover memory");
+  ar.check(static_cast<u64>(used) + pm.recycled_.size() == fresh,
+           "recycled and used frames do not cover allocated memory");
   if constexpr (Ar::reading) {
     for (u32 i = 0; i < used; ++i) {
       ar.begin("frame");
@@ -299,7 +311,7 @@ void Access::phys(Ar& ar, arch::PhysicalMemory& pm) {
       ar.value("pfn", pfn);
       ar.value("refcount", rc);
       ar.value("generation", gen);
-      ar.check(pfn < nf, "frame pfn out of range");
+      ar.check(pfn < fresh, "frame pfn out of range");
       ar.check(rc > 0, "serialized frame with zero refcount");
       ar.check(pm.refcounts_[pfn] == 0, "frame serialized twice");
       pm.refcounts_[pfn] = rc;
@@ -310,11 +322,11 @@ void Access::phys(Ar& ar, arch::PhysicalMemory& pm) {
                                   kPageSize));
       ar.end();
     }
-    for (const u32 pfn : pm.free_list_) {
-      ar.check(pm.refcounts_[pfn] == 0, "free-list frame also serialized");
+    for (const u32 pfn : pm.recycled_) {
+      ar.check(pm.refcounts_[pfn] == 0, "recycled frame also serialized");
     }
   } else {
-    for (u32 p = 0; p < nf; ++p) {
+    for (u32 p = 0; p < fresh; ++p) {
       if (pm.refcounts_[p] == 0) continue;
       ar.begin("frame");
       u32 pfn = p;
@@ -814,8 +826,7 @@ void Access::procs(Ar& ar, kernel::Kernel& k, Tables& t) {
 
     // Console can outgrow the string cap; store as bytes.
     if constexpr (Ar::reading) {
-      std::vector<u8> c;
-      ar.value("console", c);
+      const std::span<const u8> c = ar.bytes_view("console");
       p.console.assign(c.begin(), c.end());
     } else {
       ar.bytes("console",
@@ -1023,10 +1034,10 @@ void Access::trace_state(Ar& ar, kernel::Kernel& k) {
     // rotation is unobservable through the ring's API).
     constexpr std::size_t kEvSize = 23;
     if constexpr (Ar::reading) {
-      std::vector<u8> blob;
-      ar.value("events", blob);
+      const std::span<const u8> blob = ar.bytes_view("events");
       ar.check(blob.size() == size * kEvSize, "event payload length");
-      ts.ring_.buf_.assign(static_cast<std::size_t>(cap), trace::Event{});
+      // The ring already has `cap` slots (checked above). Slots past size_
+      // are written before they are read, so only live events are set.
       ts.ring_.head_ = 0;
       ts.ring_.size_ = static_cast<std::size_t>(size);
       for (u64 i = 0; i < size; ++i) {
@@ -1402,26 +1413,34 @@ void Access::validate_consistency(kernel::Kernel& k) {
   // one per non-split mapping + both frames of each split pair). Equality
   // proves ~AddressSpace can never double-unref — i.e. a structurally
   // valid but semantically corrupt snapshot still can't break teardown.
-  arch::PhysicalMemory& pm = k.pm_;
-  const u32 nf = pm.num_frames_;
-  std::vector<u32> expected(nf, 0);
+  // Only frames below the watermark can hold a reference (phys() checked
+  // that every serialized frame lies there), so a pfn at or above it is
+  // out of range here as much as one beyond memory.
+  const arch::PhysicalMemory& pm = k.pm_;
+  const u32 fresh = pm.fresh_;
+  std::vector<u32> expected(fresh, 0);
   const auto count = [&](u32 pfn, const char* what) {
-    if (pfn >= nf) throw SnapshotError(std::string(what) + " out of range");
+    if (pfn >= fresh) throw SnapshotError(std::string(what) + " out of range");
     ++expected[pfn];
+  };
+  const auto entry = [](std::span<const u8> table, u32 i) {
+    u32 v;
+    std::memcpy(&v, table.data() + i * 4, 4);  // as PhysicalMemory::read32
+    return arch::Pte{v};
   };
   try {
     for (const auto& up : k.procs_) {
       if (!up->as) continue;
       kernel::AddressSpace& as = *up->as;
       count(as.root_, "page-directory frame");
+      const std::span<const u8> dir = pm.frame_bytes(as.root_);
       for (u32 di = 0; di < 1024; ++di) {
-        const arch::Pte pde{
-            pm.read32(static_cast<u64>(as.root_) * kPageSize + di * 4)};
+        const arch::Pte pde = entry(dir, di);
         if (!pde.present()) continue;
         count(pde.pfn(), "page-table frame");
+        const std::span<const u8> table = pm.frame_bytes(pde.pfn());
         for (u32 ti = 0; ti < 1024; ++ti) {
-          const arch::Pte pte{
-              pm.read32(static_cast<u64>(pde.pfn()) * kPageSize + ti * 4)};
+          const arch::Pte pte = entry(table, ti);
           if (!pte.present()) continue;
           const u32 vpn = (di << 10) | ti;
           if (!as.split_pages_.contains(vpn)) {
@@ -1440,7 +1459,7 @@ void Access::validate_consistency(kernel::Kernel& k) {
     throw SnapshotError(std::string("restored page tables unreadable: ") +
                         e.what());
   }
-  for (u32 p = 0; p < nf; ++p) {
+  for (u32 p = 0; p < fresh; ++p) {
     if (expected[p] != pm.refcounts_[p]) {
       throw SnapshotError(
           "frame refcounts inconsistent with restored page tables (frame " +

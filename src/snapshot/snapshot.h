@@ -2,7 +2,7 @@
 //
 // A snapshot captures every bit of SIMULATED state: physical memory (page
 // tables ride along — they live in simulated frames), frame generations,
-// refcounts and free-list order, both TLBs with LRU stamps and version
+// refcounts and free-pool order, both TLBs with LRU stamps and version
 // clocks, CPU registers including the trap flag, the full kernel object
 // graph (process slab, runqueue order, wait queues, fd tables with shared
 // pipe/channel/file identity, filesystem, images, RNG cursor, timeslice

@@ -17,7 +17,9 @@
 namespace sm {
 namespace {
 
+using arch::u32;
 using arch::u64;
+using arch::u8;
 using core::ProtectionMode;
 using core::ResponseMode;
 using testing::restore_bytes;
@@ -248,6 +250,145 @@ TEST(SnapshotRoundtrip, TraceRecordDisagreeingWithConfigRejected) {
                 std::string::npos)
           << e.what();
     }
+  }
+}
+
+// A child that dirties pages and exits, reaped by a parent that then
+// demand-pages three more: a snapshot taken once the child has exited
+// holds its frames on the recycled stack, and the suffix allocates them.
+const char* kReapBody = R"(
+_start:
+  movi r0, SYS_FORK
+  syscall
+  cmpi r0, 0
+  jz child
+  mov r1, r0
+  movi r0, SYS_WAITPID
+  syscall
+  movi r4, buf
+  movi r5, 1
+  store [r4], r5
+  addi r4, 4096
+  store [r4], r5
+  addi r4, 4096
+  store [r4], r5
+  movi r0, SYS_EXIT
+  movi r1, 0
+  syscall
+child:
+  movi r4, buf
+  movi r5, 2
+  store [r4], r5
+  addi r4, 4096
+  store [r4], r5
+  movi r0, SYS_EXIT
+  movi r1, 3
+  syscall
+.bss
+buf: .space 16384
+)";
+
+bool child_exited(kernel::Kernel& k) {
+  const kernel::Process* c = k.process(2);
+  return c != nullptr && c->state == kernel::ProcState::kZombie;
+}
+
+// Offset of the first element of the packed u32 sequence `name` in a
+// snapshot, with its element count; npos when the field is absent.
+std::size_t u32_seq_at(const std::string& blob, const std::string& name,
+                       std::size_t& count) {
+  const std::string tag = std::string(1, '\x06') +
+                          static_cast<char>(name.size()) + name;
+  const std::size_t at = blob.find(tag);
+  if (at == std::string::npos) return at;
+  const std::size_t len = at + tag.size();
+  count = (static_cast<u8>(blob[len]) | static_cast<u8>(blob[len + 1]) << 8 |
+           static_cast<u8>(blob[len + 2]) << 16 |
+           static_cast<std::size_t>(static_cast<u8>(blob[len + 3])) << 24) /
+          4;
+  return len + 4;
+}
+
+void put32(std::string& blob, std::size_t at, u32 v) {
+  for (int i = 0; i < 4; ++i) blob[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+u32 get32(const std::string& blob, std::size_t at) {
+  u32 v = 0;
+  for (int i = 3; i >= 0; --i) v = v << 8 | static_cast<u8>(blob[at + i]);
+  return v;
+}
+
+// Every free-pool index must name one frame below the watermark, once.
+// A repeated index passed every check of the v4 free list, and the
+// suffix run then handed one frame to two owners and died unreffing it.
+TEST(SnapshotRoundtrip, RecycledIndicesMustNameOneFrameOnce) {
+  const kernel::KernelConfig cfg = snapshot_test_cfg();
+  const auto boot_reap = [&] {
+    return start_guest(kReapBody, ProtectionMode::kSplitAll,
+                       ResponseMode::kBreak, cfg);
+  };
+  auto src = boot_reap();
+  // Step until the child has exited and freed its address space.
+  for (int i = 0; i < 1000 && !child_exited(*src.k); ++i) src.k->run(1);
+  ASSERT_TRUE(child_exited(*src.k));
+  const std::string blob = save_bytes(*src.k);
+  std::size_t n = 0;
+  const std::size_t at = u32_seq_at(blob, "recycled", n);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_GE(n, 2u);
+  const std::string fresh_tag("\x02\x05" "fresh", 7);
+  const std::size_t fresh_pos = blob.find(fresh_tag);
+  ASSERT_NE(fresh_pos, std::string::npos);
+  const u32 fresh = get32(blob, fresh_pos + fresh_tag.size());
+
+  {
+    // The intact stream restores, and the parent runs to its clean exit.
+    auto r = boot_reap();
+    restore_bytes(*r.k, blob);
+    r.k->run(100'000);
+    EXPECT_EQ(r.proc().exit_code, 0u);
+  }
+  const auto rejected = [&](const std::string& bad, const char* why) {
+    auto r = boot_reap();
+    std::istringstream is(bad);
+    try {
+      r.k->restore(is);
+      ADD_FAILURE() << "restored a recycled stack with " << why;
+    } catch (const snapshot::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("recycled"), std::string::npos)
+          << e.what();
+    }
+  };
+  {
+    // The entry below the top takes the top's value.
+    std::string bad = blob;
+    put32(bad, at + (n - 2) * 4, get32(blob, at + (n - 1) * 4));
+    rejected(bad, "a repeated entry");
+  }
+  {
+    std::string bad = blob;
+    put32(bad, at, fresh);
+    rejected(bad, "an entry at the watermark");
+  }
+  {
+    std::string bad = blob;
+    put32(bad, at + (n - 1) * 4, cfg.phys_frames - 1);
+    rejected(bad, "an entry above the watermark");
+  }
+}
+
+// The free pool is stored as a watermark plus the freed frames, so a
+// machine's snapshot does not grow with RAM it never touched.
+TEST(SnapshotRoundtrip, SizeDoesNotDependOnRamSize) {
+  kernel::KernelConfig small = snapshot_test_cfg();
+  small.phys_frames = 1024;
+  kernel::KernelConfig large = snapshot_test_cfg();
+  large.phys_frames = kernel::KernelConfig{}.phys_frames;
+  ASSERT_EQ(large.phys_frames, 16384u);
+  for (u64 at : {u64{0}, u64{40}}) {
+    EXPECT_EQ(mid_run_blob(small, at).size(), mid_run_blob(large, at).size())
+        << "snapshot@" << at;
   }
 }
 

@@ -5,7 +5,8 @@
 //
 //   smsnap save   --seed=S [--index=I] [--at=N] [--config=LABEL] -o FILE
 //       generate case (S, I), boot it under the named oracle config, run
-//       N instructions (default: to completion), serialize the machine
+//       N instructions (default: to completion), serialize the machine,
+//       report the run as resume does
 //   smsnap resume FILE --seed=S [--index=I] [--config=LABEL] [--budget=C]
 //       reconstruct the SAME kernel shape, restore FILE into it, run the
 //       remaining budget, report exit status / console / key counters
@@ -14,7 +15,8 @@
 //       every field is self-describing)
 //   smsnap diff   A B
 //       field-by-field comparison; prints differing fields, exit 1 if
-//       the machines differ, 2 on malformed input
+//       the machines differ, 2 on malformed input, and exits 0 with no
+//       output when they are field-identical
 //
 // resume deliberately takes the generation flags again: restore() is an
 // in-place reset that validates the receiving kernel's config and engine
@@ -164,6 +166,7 @@ int cmd_save(const Args& a) {
               res == kernel::Kernel::RunResult::kBudgetExhausted
                   ? "mid-run"
                   : "final state");
+  report(*k, res);
   return os ? 0 : 2;
 }
 
@@ -206,11 +209,7 @@ int cmd_diff(const Args& a) {
   }
   const auto lines = snapshot::diff(ia, ib);
   for (const auto& l : lines) std::printf("%s\n", l.c_str());
-  if (lines.empty()) {
-    std::printf("snapshots are field-identical\n");
-    return 0;
-  }
-  return 1;
+  return lines.empty() ? 0 : 1;
 }
 
 }  // namespace
